@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, WindowedDataset
+from .core import TimeSeries, WindowedDataset, build_windows
 from .objective import Loss
 from .solver import LowRankForecaster, NumericalError
 
@@ -236,13 +236,9 @@ def ar_fit(
         raise ValueError("M must be >= 1")
     if series.T < M + 1:
         raise ValueError(f"series too short for AR({M}): T={series.T}")
-    x = series.values
-    n = series.n
-    N = series.T - M
-    X = np.empty((N, M * n))
-    for i in range(N):
-        X[i] = x[i : i + M].ravel()
-    Y = x[M:]
+    windows = build_windows(series, M, 1)
+    X, Y = windows.P, windows.F
+    n, N = series.n, windows.N
     G = X.T @ X + N * lam * np.eye(M * n)
     chol = _spd_cholesky(G, "AR normal equations are singular; pass lam > 0")
     B = _chol_solve(chol, X.T @ Y)  # Mn x n, block j multiplies x_{t-M+1+j}

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import TimeSeries, build_windows, center
+from .core import TimeSeries, build_windows, center, past_windows
 from .evaluation import evaluate_forecasts, sweep
 from .features import (
     FeatureSpec,
@@ -424,11 +424,8 @@ def cmd_latent(args) -> int:
     centered, _ = center(work, model.means)
     if centered.T < model.M:
         raise ValueError(f"series has {centered.T} rows; need at least M={model.M}")
-    count = centered.T - model.M + 1
-    P = np.empty((count, model.M * model.n))
-    for i in range(count):
-        P[i] = centered.values[i : i + model.M].ravel()
-    Z = model.encode(P)
+    Z = model.encode(past_windows(centered.values, model.M))
+    count = Z.shape[0]
     write_matrix_csv(
         args.out,
         Z,

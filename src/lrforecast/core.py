@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -97,6 +98,19 @@ class WindowedDataset:
         return self.P.shape[0]
 
 
+def past_windows(x: np.ndarray, M: int) -> np.ndarray:
+    """Stacks every length-M window of the rows of x, oldest row first.
+
+    For a T x n array x, row i of the (T - M + 1) x Mn result is
+    x[i : i + M].ravel().  The result is a fresh writable array that
+    shares no memory with x.
+    """
+    x = np.asarray(x, dtype=float)
+    windows = sliding_window_view(x, (M, x.shape[1]))[:, 0]
+    # the reshape is still a read-only view of x, so copy it explicitly
+    return np.array(windows.reshape(windows.shape[0], -1))
+
+
 def build_windows(series: TimeSeries | np.ndarray, M: int, H: int) -> WindowedDataset:
     """Builds the past/future window matrices P (N x Mn) and F (N x Hn).
 
@@ -112,13 +126,9 @@ def build_windows(series: TimeSeries | np.ndarray, M: int, H: int) -> WindowedDa
         raise ValueError(
             f"series too short: T={T} but M+H={M + H}; need T >= M + H"
         )
-    N = T - M - H + 1
     x = series.values
-    P = np.empty((N, M * n))
-    F = np.empty((N, H * n))
-    for i in range(N):
-        P[i] = x[i : i + M].ravel()
-        F[i] = x[i + M : i + M + H].ravel()
+    P = past_windows(x[: T - H], M)
+    F = past_windows(x[M:], H)
     return WindowedDataset(P=P, F=F, n=n, M=M, H=H)
 
 

@@ -6,7 +6,9 @@ fitted baseline back afterwards.  Joint fitting augments each past window
 with the feature vector of its origin so a separate coefficient block Phi
 is learned alongside the low-rank forecast matrix; the nuclear-norm
 penalty can either cover the stacked block matrix or leave Phi under a
-plain ridge penalty.
+plain ridge penalty.  Both run the solver's one alternating engine: the
+stacked matrix as wider factors, the ridge-penalized Phi as its
+unfactored regressor block, solved together with V in each sweep.
 
 A fitted low-rank model also exposes simple latent dynamics: regressing
 successive encoded states on each other gives a one-step linear system
@@ -19,20 +21,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .baselines import _spd_cholesky
+from .baselines import _chol_solve, _spd_cholesky
 from .core import TimeSeries, WindowedDataset
 from .objective import Loss
-from .solver import (
-    FitOptions,
-    FitReport,
-    LowRankForecaster,
-    NumericalError,
-    _fit_arrays,
-    _forecast_value_grad,
-    reduce_rank,
-)
+from .solver import FitOptions, FitReport, LowRankForecaster, _fit_arrays, reduce_rank
 
 
 @dataclass(frozen=True)
@@ -152,10 +145,7 @@ def detrend_fit(
     A = _aux_rows(series, features, aux)
     G = A.T @ A + series.T * lam * np.eye(A.shape[1])
     chol = _spd_cholesky(G, "aux features are rank deficient at lam=0; pass lam > 0")
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(chol, A.T @ series.values, lower=True)
-    St = solve_triangular(chol.T, y, lower=False)
+    St = _chol_solve(chol, A.T @ series.values)
     return TrendModel(S=St.T, lam=lam, features=features)
 
 
@@ -203,9 +193,7 @@ def latent_ar_fit(Z: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, np.nd
     X, Y = Z[:-1], Z[1:]
     G = X.T @ X + jitter * np.eye(Z.shape[1])
     chol = _spd_cholesky(G, "state regression is singular; pass jitter > 0")
-    from scipy.linalg import solve_triangular
-
-    B = solve_triangular(chol.T, solve_triangular(chol, X.T @ Y, lower=True), lower=False)
+    B = _chol_solve(chol, X.T @ Y)
     resid = Y - X @ B
     W = resid.T @ resid / X.shape[0]
     return B.T, W
@@ -240,28 +228,20 @@ def aux_joint_fit(
     p = aux.shape[1]
     mn = data.P.shape[1]
     t0 = time.perf_counter()
+    # stacked: aux columns join P inside the factorization; ridge: aux is the R block
+    P = np.hstack([data.P, aux]) if joint_nuclear and p else data.P
+    R = None if joint_nuclear else aux
+    U, V, trace, iters, sweeps, converged, Phi = _fit_arrays(
+        P, data.F, data.n, lam, kappa, loss, W, opts, R
+    )
+    Ur, Vr, (_, sigma, _) = reduce_rank(U, V, opts.rank_tol)
     if joint_nuclear:
-        Paug = np.hstack([data.P, aux]) if p else data.P
-        U, V, trace, iters, sweeps, converged = _fit_arrays(
-            Paug, data.F, data.n, lam, kappa, loss, W, opts
-        )
-        Ur, Vr, (_, sigma, _) = reduce_rank(U, V, opts.rank_tol)
         Phi = Ur[mn:] @ Vr
-        model = LowRankForecaster(
-            U=Ur[:mn], V=Vr, singular_values=sigma, n=data.n, M=data.M, H=data.H,
-            lam=lam, kappa=kappa, loss=loss,
-            means=np.zeros(data.n) if means is None else means,
-        )
-    else:
-        U, V, Phi, trace, iters, sweeps, converged = _fit_arrays_ridge_phi(
-            data.P, aux, data.F, data.n, lam, kappa, loss, W, opts
-        )
-        Ur, Vr, (_, sigma, _) = reduce_rank(U, V, opts.rank_tol)
-        model = LowRankForecaster(
-            U=Ur, V=Vr, singular_values=sigma, n=data.n, M=data.M, H=data.H,
-            lam=lam, kappa=kappa, loss=loss,
-            means=np.zeros(data.n) if means is None else means,
-        )
+    model = LowRankForecaster(
+        U=Ur[:mn], V=Vr, singular_values=sigma, n=data.n, M=data.M, H=data.H,
+        lam=lam, kappa=kappa, loss=loss,
+        means=np.zeros(data.n) if means is None else means,
+    )
     report = FitReport(
         objective_trace=trace,
         final_objective=trace[-1],
@@ -274,86 +254,3 @@ def aux_joint_fit(
         k_schedule=[opts.k],
     )
     return model, Phi, report
-
-
-def _fit_arrays_ridge_phi(P, aux, F, n, lam, kappa, loss, W, opts):
-    """Alternating fit with Phi kept outside the factorization."""
-    N, mcols = P.shape
-    hcols = F.shape[1]
-    p = aux.shape[1]
-    k = opts.k
-    if not 1 <= k <= min(mcols, hcols):
-        raise ValueError(f"k={k} must be in [1, min({mcols}, {hcols})]")
-    if lam < 0 or kappa < 0:
-        raise ValueError("lam and kappa must be nonnegative")
-    if opts.init is not None:
-        U, V = (np.array(x, dtype=float) for x in opts.init)
-    else:
-        rng = np.random.default_rng(opts.seed)
-        scale = float(np.std(F)) or 1.0
-        sig = scale / np.sqrt(k)
-        U = rng.normal(0.0, sig, size=(mcols, k))
-        V = rng.normal(0.0, sig, size=(k, hcols))
-    Phi = np.zeros((p, hcols))
-    lbfgs_opts = {
-        "maxcor": opts.lbfgs_memory,
-        "maxiter": opts.lbfgs_max_iters,
-        "gtol": opts.grad_tol,
-        "ftol": opts.lbfgs_ftol,
-    }
-
-    def objective(U, V, Phi):
-        val, _ = _forecast_value_grad((P @ U) @ V + aux @ Phi, F, n, loss, W, kappa)
-        return val + 0.5 * lam * (
-            float((U * U).sum()) + float((V * V).sum()) + float((Phi * Phi).sum())
-        )
-
-    def vphi_step(U, V, Phi):
-        PU = P @ U
-        u_norm2 = float((U * U).sum())
-
-        def fg(x):
-            Vm = x[: k * hcols].reshape(k, hcols)
-            Pm = x[k * hcols :].reshape(p, hcols)
-            val, G = _forecast_value_grad(PU @ Vm + aux @ Pm, F, n, loss, W, kappa)
-            val += 0.5 * lam * (u_norm2 + float((Vm * Vm).sum()) + float((Pm * Pm).sum()))
-            gV = PU.T @ G + lam * Vm
-            gP = aux.T @ G + lam * Pm
-            return val, np.concatenate([gV.ravel(), gP.ravel()])
-
-        x0 = np.concatenate([V.ravel(), Phi.ravel()])
-        res = minimize(fg, x0, jac=True, method="L-BFGS-B", options=lbfgs_opts)
-        return (res.x[: k * hcols].reshape(k, hcols),
-                res.x[k * hcols :].reshape(p, hcols), float(res.fun), int(res.nit))
-
-    def u_step(U, V, Phi):
-        v_norm2 = float((V * V).sum()) + float((Phi * Phi).sum())
-        aP = aux @ Phi
-
-        def fg(u):
-            Um = u.reshape(mcols, k)
-            val, G = _forecast_value_grad((P @ Um) @ V + aP, F, n, loss, W, kappa)
-            val += 0.5 * lam * (float((Um * Um).sum()) + v_norm2)
-            return val, (P.T @ (G @ V.T) + lam * Um).ravel()
-
-        res = minimize(fg, U.ravel(), jac=True, method="L-BFGS-B", options=lbfgs_opts)
-        return res.x.reshape(mcols, k), float(res.fun), int(res.nit)
-
-    trace = [objective(U, V, Phi)]
-    total = 0
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, opts.max_outer + 1):
-        start = trace[-1]
-        V, Phi, obj, nit = vphi_step(U, V, Phi)
-        trace.append(obj)
-        total += nit
-        U, obj, nit = u_step(U, V, Phi)
-        trace.append(obj)
-        total += nit
-        if not np.isfinite(obj):
-            raise NumericalError(f"objective became non-finite after sweep {sweeps}")
-        if start - obj <= opts.obj_tol * max(abs(start), 1e-300):
-            converged = True
-            break
-    return U, V, Phi, trace, total, sweeps, converged

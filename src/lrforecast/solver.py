@@ -256,26 +256,39 @@ def _fit_arrays(
     loss: Loss,
     W: np.ndarray | None,
     opts: FitOptions,
-) -> tuple[np.ndarray, np.ndarray, list[float], int, int, bool]:
-    """Alternating L-BFGS on the factored objective. Returns raw factors."""
+    R: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[float], int, int, bool, np.ndarray]:
+    """Alternating L-BFGS on the factored objective. Returns raw factors.
+
+    R (N x p, optional) adds regressors outside the factorization: the
+    forecast becomes P U V + R Phi, and their coefficients Phi (p x Hn)
+    carry the ridge penalty (lam/2) ||Phi||_F^2.  Phi starts at zero and
+    is solved jointly with V as one block B = [V; Phi] against the design
+    Z = [P U, R]; the U-step holds R Phi fixed.  Returns (U, V, trace,
+    inner iterations, sweeps, converged, Phi), with Phi of shape
+    (0, Hn) when R is omitted.
+    """
     N, mcols = P.shape
     hcols = F.shape[1]
+    p = 0 if R is None else R.shape[1]
     k = opts.k
     if not 1 <= k <= min(mcols, hcols):
         raise ValueError(f"k={k} must be in [1, min({mcols}, {hcols})]")
     if lam < 0 or kappa < 0:
         raise ValueError("lam and kappa must be nonnegative")
 
-    if lam > 0 and loss.differentiable:
+    if lam > 0 and loss.differentiable and not p:
         # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2,
-        # and the alternation only crawls toward it; exit with the certified answer
+        # and the alternation only crawls toward it; exit with the certified answer.
+        # A ridge block has no such threshold, so it always alternates.
         try:
             lmax = lambda_max(P, F, loss, W=W)
         except NumericalError:
             lmax = np.inf
         if lam >= lmax:
             val = loss_value(np.zeros_like(F), F, loss, W)
-            return np.zeros((mcols, k)), np.zeros((k, hcols)), [val], 0, 0, True
+            U, V, Phi = np.zeros((mcols, k)), np.zeros((k, hcols)), np.zeros((0, hcols))
+            return U, V, [val], 0, 0, True, Phi
 
     if opts.init is not None:
         U0, V0 = opts.init
@@ -294,6 +307,7 @@ def _fit_arrays(
         sig = scale / np.sqrt(k)
         U = rng.normal(0.0, sig, size=(mcols, k))
         V = rng.normal(0.0, sig, size=(k, hcols))
+    B = np.vstack([V, np.zeros((p, hcols))]) if p else V
 
     lbfgs_opts = {
         "maxcor": opts.lbfgs_memory,
@@ -302,34 +316,41 @@ def _fit_arrays(
         "ftol": opts.lbfgs_ftol,
     }
 
-    def v_step(U, V):
+    def v_step(U, B):
         PU = P @ U
+        Z = np.hstack([PU, R]) if p else PU
         u_norm2 = float((U * U).sum())
 
-        def fg(v):
-            Vm = v.reshape(k, hcols)
-            val, G = _forecast_value_grad(PU @ Vm, F, n, loss, W, kappa)
-            val += 0.5 * lam * (u_norm2 + float((Vm * Vm).sum()))
-            grad = PU.T @ G + lam * Vm
+        def fg(b):
+            Bm = b.reshape(k + p, hcols)
+            val, G = _forecast_value_grad(Z @ Bm, F, n, loss, W, kappa)
+            val += 0.5 * lam * (u_norm2 + float((Bm * Bm).sum()))
+            grad = Z.T @ G + lam * Bm
             return val, grad.ravel()
 
-        res = minimize(fg, V.ravel(), jac=True, method="L-BFGS-B", options=lbfgs_opts)
-        return res.x.reshape(k, hcols), float(res.fun), int(res.nit)
+        res = minimize(fg, B.ravel(), jac=True, method="L-BFGS-B", options=lbfgs_opts)
+        return res.x.reshape(k + p, hcols), float(res.fun), int(res.nit)
 
-    def u_step(U, V):
-        v_norm2 = float((V * V).sum())
+    def u_step(U, B):
+        V = B[:k]
+        b_norm2 = float((B * B).sum())
         Vt = V.T
+        offset = R @ B[k:] if p else None
 
         def fg(u):
             Um = u.reshape(mcols, k)
-            val, G = _forecast_value_grad((P @ Um) @ V, F, n, loss, W, kappa)
-            val += 0.5 * lam * (float((Um * Um).sum()) + v_norm2)
+            Fhat = (P @ Um) @ V
+            if offset is not None:
+                Fhat += offset
+            val, G = _forecast_value_grad(Fhat, F, n, loss, W, kappa)
+            val += 0.5 * lam * (float((Um * Um).sum()) + b_norm2)
             grad = P.T @ (G @ Vt) + lam * Um
             return val, grad.ravel()
 
         res = minimize(fg, U.ravel(), jac=True, method="L-BFGS-B", options=lbfgs_opts)
         return res.x.reshape(mcols, k), float(res.fun), int(res.nit)
 
+    # Phi starts at zero, so the initial objective is that of the factors alone
     obj = _factored_objective(P, F, n, U, V, lam, kappa, loss, W)
     if not np.isfinite(obj):
         raise NumericalError(f"objective is not finite at the initial point ({obj})")
@@ -339,10 +360,10 @@ def _fit_arrays(
     sweeps = 0
     for sweeps in range(1, opts.max_outer + 1):
         sweep_start = trace[-1]
-        V, obj, nit = v_step(U, V)
+        B, obj, nit = v_step(U, B)
         trace.append(obj)
         total_iters += nit
-        U, obj, nit = u_step(U, V)
+        U, obj, nit = u_step(U, B)
         trace.append(obj)
         total_iters += nit
         if not np.isfinite(obj):
@@ -351,7 +372,7 @@ def _fit_arrays(
         if decrease <= opts.obj_tol * max(abs(sweep_start), 1e-300):
             converged = True
             break
-    return U, V, trace, total_iters, sweeps, converged
+    return U, B[:k], trace, total_iters, sweeps, converged, B[k:]
 
 
 def fit_factored(
@@ -372,7 +393,7 @@ def fit_factored(
     """
     opts = opts or FitOptions()
     t0 = time.perf_counter()
-    U, V, trace, iters, sweeps, converged = _fit_arrays(
+    U, V, trace, iters, sweeps, converged, _ = _fit_arrays(
         data.P, data.F, data.n, lam, kappa, loss, W, opts
     )
     Ur, Vr, (U_theta, sigma, V_theta) = reduce_rank(U, V, opts.rank_tol)

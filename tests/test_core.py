@@ -42,6 +42,14 @@ def test_window_contents_match_slices():
     for i in range(data.N):
         assert np.array_equal(data.P[i], x[i : i + M].ravel())
         assert np.array_equal(data.F[i], x[i + M : i + M + H].ravel())
+    assert_owned_windows(data, x)
+
+
+def assert_owned_windows(data, x):
+    # windows are fresh writable copies, never views into the series
+    for Z in (data.P, data.F):
+        assert Z.flags.writeable
+        assert not np.shares_memory(Z, x)
 
 
 def test_windows_are_block_hankel():
@@ -61,7 +69,11 @@ def test_window_validation():
     with pytest.raises(ValueError):
         build_windows(x, 6, 5)  # T < M + H
     # exactly one window at T = M + H
-    assert build_windows(x, 6, 4).N == 1
+    one = build_windows(x, 6, 4)
+    assert one.N == 1
+    assert np.array_equal(one.P[0], x[:6].ravel())
+    assert np.array_equal(one.F[0], x[6:].ravel())
+    assert_owned_windows(one, x)
 
 
 def test_windowed_dataset_shape_checks():

@@ -335,6 +335,22 @@ def test_ridge_phi_path_fits(rng):
     assert np.all(t2[1:] <= t2[:-1] + 1e-10 * np.abs(t2[:-1]))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ridge_phi_above_lambda_max_is_pure_ridge(seed):
+    # above lambda_max of the windows alone theta vanishes, and Phi is the
+    # ridge regression of F on aux: (aux^T aux + (N lam / 2) I)^-1 aux^T F.
+    # The sweeps run until the objective stalls, since theta only decays
+    # geometrically toward zero.
+    data, aux = rand_joint_instance(np.random.default_rng(seed))
+    lam = 2.0 * lambda_max(data.P, data.F)
+    opts = FitOptions(k=4, obj_tol=0.0, max_outer=200)
+    model, Phi, rep = aux_joint_fit(data, aux, lam, joint_nuclear=False, opts=opts)
+    G = aux.T @ aux + 0.5 * data.N * lam * np.eye(aux.shape[1])
+    Phi_ridge = np.linalg.solve(G, aux.T @ data.F)
+    assert np.linalg.norm(model.theta()) <= 1e-12
+    assert np.linalg.norm(Phi - Phi_ridge) <= 1e-6 * np.linalg.norm(Phi_ridge)
+
+
 def test_joint_fit_validation(rng):
     data, aux = rand_joint_instance(rng)
     with pytest.raises(ValueError):
@@ -343,3 +359,6 @@ def test_joint_fit_validation(rng):
         aux_joint_fit(data, aux[:, 0], 0.1)
     with pytest.raises(ValueError):
         aux_joint_fit(data, aux, -0.1)
+    bad_init = (np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="warm start"):
+        aux_joint_fit(data, aux, 0.1, joint_nuclear=False, opts=FitOptions(k=2, init=bad_init))
