@@ -48,12 +48,11 @@ from .simgen import SimSpec, gen_model, sample
 from .solver import (
     FitOptions,
     NumericalError,
-    _pad_factors,
     fit_auto_rank,
     fit_factored,
     lambda_max,
 )
-from dataclasses import fields as dc_fields, replace
+from dataclasses import replace
 
 
 # --------------------------------------------------------------- config glue
@@ -102,15 +101,18 @@ def _loss_from(args, cfg) -> Loss:
     return Loss(kind=kind, delta=None if kind != HUBER else float(delta))
 
 
+# the FitOptions fields settable by flag or by the config's "solver" object
+SOLVER_KEYS = ("k", "max_outer", "obj_tol", "grad_tol", "seed")
+
+
 def _opts_from(args, cfg) -> FitOptions:
     base = dict(cfg.get("solver") or {})
-    known = {f.name for f in dc_fields(FitOptions)}
-    unknown = set(base) - known
+    unknown = set(base) - set(SOLVER_KEYS)
     if unknown:
         raise ValueError(f"unknown solver options: {', '.join(sorted(unknown))}")
     if "seed" not in base and cfg.get("seed") is not None:
         base["seed"] = cfg["seed"]
-    for name in ("k", "max_outer", "obj_tol", "grad_tol", "seed"):
+    for name in SOLVER_KEYS:
         v = getattr(args, name, None)
         if v is not None:
             base[name] = v
@@ -259,14 +261,9 @@ def cmd_fit(args) -> int:
             # start under random columns at signal scale
             cap = min(data.P.shape[1], data.F.shape[1])
             k_req = _pick(args.k, _get(cfg, "solver", "k"))
-            if k_req is None:
-                k = max(prev.rank, 1)
-            else:
-                k = min(max(int(k_req), prev.rank, 1), cap)
-            scale = float(np.std(data.F)) or 1.0
-            init = _pad_factors(prev.U, prev.V, k, opts.seed, scale)
+            k = min(max(int(k_req or 1), prev.rank), cap)
             model, report = fit_factored(
-                data, lam, kappa, loss, W, replace(opts, k=k, init=init), means
+                data, lam, kappa, loss, W, replace(opts, k=k, init=(prev.U, prev.V)), means
             )
         else:
             model, report = fit_auto_rank(data, lam, kappa, loss, W, opts, means)

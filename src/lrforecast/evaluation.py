@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import TimeSeries, build_windows, center
 from .objective import Loss, inconsistency, loss_value
-from .solver import FitOptions, _pad_factors, fit_auto_rank, lambda_max
+from .solver import FitOptions, fit_auto_rank, lambda_max
 
 SWEEP_CSV_COLUMNS = (
     "alpha",
@@ -114,20 +114,12 @@ def _sweep_chain(
     means: np.ndarray,
 ) -> list[SweepRow]:
     """Fits one kappa column across the alpha grid with warm starts."""
-    cap = min(data_train.P.shape[1], data_train.F.shape[1])
-    k0 = min(opts.k, cap)
-    scale = float(np.std(data_train.F)) or 1.0
-    init = opts.init
-    width = k0
     rows = []
     for alpha in alphas:
         lam = alpha * lmax
         t0 = time.perf_counter()
         try:
-            model, report = fit_auto_rank(
-                data_train, lam, kappa, loss,
-                opts=replace(opts, k=width, init=init), means=means,
-            )
+            model, report = fit_auto_rank(data_train, lam, kappa, loss, opts=opts, means=means)
         except Exception:
             rows.append(
                 SweepRow(alpha, kappa, lam, -1, np.nan, np.nan, np.nan, np.nan,
@@ -142,10 +134,7 @@ def _sweep_chain(
             SweepRow(alpha, kappa, lam, model.rank, tr.loss, te.loss,
                      tr.inconsistency, te.inconsistency, report.wall_time)
         )
-        # the escalation may have widened the factors past k0; a warm start
-        # can only grow, so carry the realized width into the next fit
-        width = min(max(k0, model.rank), cap)
-        init = _pad_factors(model.U, model.V, width, opts.seed, scale)
+        opts = replace(opts, init=(model.U, model.V))
     return rows
 
 

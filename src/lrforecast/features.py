@@ -220,6 +220,11 @@ def aux_joint_fit(
     (lam/2) ||Phi||_F^2 outside the factorization and is optimized jointly
     with V in each sweep.  With zero aux columns both paths reduce to the
     plain factored fit.
+
+    The fit runs at the fixed width opts.k: there is no rank escalation
+    as in fit_auto_rank, so a returned rank equal to opts.k may be
+    limited by the width, and the report carries no optimality residuals
+    (None), so the result is not certified.
     """
     opts = opts or FitOptions()
     aux = np.asarray(aux, dtype=float)
@@ -234,11 +239,13 @@ def aux_joint_fit(
     U, V, trace, iters, sweeps, converged, Phi = _fit_arrays(
         P, data.F, data.n, lam, kappa, loss, W, opts, R
     )
-    Ur, Vr, (_, sigma, _) = reduce_rank(U, V, opts.rank_tol)
-    if joint_nuclear:
+    Ur, Vr, (_, sigma, _) = reduce_rank(U, V)
+    if joint_nuclear and p:
+        # sigma belongs to the stacked [theta; Phi]; re-reduce theta's rows alone
         Phi = Ur[mn:] @ Vr
+        Ur, Vr, (_, sigma, _) = reduce_rank(Ur[:mn], Vr)
     model = LowRankForecaster(
-        U=Ur[:mn], V=Vr, singular_values=sigma, n=data.n, M=data.M, H=data.H,
+        U=Ur, V=Vr, singular_values=sigma, n=data.n, M=data.M, H=data.H,
         lam=lam, kappa=kappa, loss=loss,
         means=np.zeros(data.n) if means is None else means,
     )

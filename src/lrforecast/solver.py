@@ -44,23 +44,21 @@ class FitOptions:
         then solve U).
     obj_tol: stop when the relative objective decrease over a sweep falls
         below this.
-    grad_tol / lbfgs_memory / lbfgs_max_iters: inner L-BFGS settings
-        (gradient tolerance, history size, iteration cap per subproblem);
-        the line search enforces strong Wolfe conditions.
-    rank_tol: relative singular value cutoff used when reducing the
-        fitted factors.
-    seed: drives the random factor initialization.
-    init: optional (U0, V0) warm start, overriding the random init.
+    grad_tol: gradient tolerance of each inner L-BFGS solve (history 10,
+        at most 500 iterations per subproblem, strong Wolfe line search).
+    seed: drives the random entries of the initial factors.
+    init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
+        with k0 <= k.  The fit starts from these columns widened to k by
+        random ones drawn from default_rng(seed) at standard deviation
+        std(F)/sqrt(k), U's block first; None is the k0 = 0 case, a
+        fully random start.  Reduced factors keep singular values above
+        1e-8 times the largest.
     """
 
     k: int = 20
     max_outer: int = 100
     obj_tol: float = 1e-8
     grad_tol: float = 1e-8
-    lbfgs_memory: int = 10
-    lbfgs_max_iters: int = 500
-    lbfgs_ftol: float = 1e-16
-    rank_tol: float = 1e-8
     seed: int = 0
     init: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -277,6 +275,16 @@ def _fit_arrays(
     if lam < 0 or kappa < 0:
         raise ValueError("lam and kappa must be nonnegative")
 
+    U0, V0 = opts.init if opts.init is not None else (np.zeros((mcols, 0)), np.zeros((0, hcols)))
+    U0 = np.asarray(U0, dtype=float)
+    V0 = np.asarray(V0, dtype=float)
+    k0 = U0.shape[1] if U0.ndim == 2 else -1
+    if U0.shape != (mcols, k0) or V0.shape != (k0, hcols) or k0 > k:
+        raise ValueError(
+            f"warm start shapes {U0.shape}/{V0.shape} do not match "
+            f"({mcols}, k0)/(k0, {hcols}) with k0 <= {k}"
+        )
+
     if lam > 0 and loss.differentiable and not p:
         # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2,
         # and the alternation only crawls toward it; exit with the certified answer.
@@ -290,31 +298,14 @@ def _fit_arrays(
             U, V, Phi = np.zeros((mcols, k)), np.zeros((k, hcols)), np.zeros((0, hcols))
             return U, V, [val], 0, 0, True, Phi
 
-    if opts.init is not None:
-        U0, V0 = opts.init
-        U = np.array(U0, dtype=float)
-        V = np.array(V0, dtype=float)
-        if U.shape != (mcols, k) or V.shape != (k, hcols):
-            raise ValueError(
-                f"warm start shapes {U.shape}/{V.shape} do not match "
-                f"({mcols}, {k})/({k}, {hcols})"
-            )
-    else:
-        rng = np.random.default_rng(opts.seed)
-        scale = float(np.std(F))
-        if scale == 0.0:
-            scale = 1.0
-        sig = scale / np.sqrt(k)
-        U = rng.normal(0.0, sig, size=(mcols, k))
-        V = rng.normal(0.0, sig, size=(k, hcols))
+    # the warm start is widened to k by random columns; without one, all k are random
+    rng = np.random.default_rng(opts.seed)
+    sig = (float(np.std(F)) or 1.0) / np.sqrt(k)
+    U = np.concatenate([U0, rng.normal(0.0, sig, size=(mcols, k - k0))], axis=1)
+    V = np.concatenate([V0, rng.normal(0.0, sig, size=(k - k0, hcols))], axis=0)
     B = np.vstack([V, np.zeros((p, hcols))]) if p else V
 
-    lbfgs_opts = {
-        "maxcor": opts.lbfgs_memory,
-        "maxiter": opts.lbfgs_max_iters,
-        "gtol": opts.grad_tol,
-        "ftol": opts.lbfgs_ftol,
-    }
+    lbfgs_opts = {"maxcor": 10, "maxiter": 500, "gtol": opts.grad_tol, "ftol": 1e-16}
 
     def v_step(U, B):
         PU = P @ U
@@ -396,7 +387,7 @@ def fit_factored(
     U, V, trace, iters, sweeps, converged, _ = _fit_arrays(
         data.P, data.F, data.n, lam, kappa, loss, W, opts
     )
-    Ur, Vr, (U_theta, sigma, V_theta) = reduce_rank(U, V, opts.rank_tol)
+    Ur, Vr, (U_theta, sigma, V_theta) = reduce_rank(U, V)
     residuals = None
     if loss.differentiable:
         residuals = _residuals_from_svd(
@@ -430,27 +421,6 @@ def fit_factored(
     return model, report
 
 
-def _pad_factors(
-    U: np.ndarray,
-    V: np.ndarray,
-    k: int,
-    seed: int,
-    scale: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Widens factors to k columns/rows with fresh random entries."""
-    m, k0 = U.shape
-    h = V.shape[1]
-    if k0 > k:
-        raise ValueError(f"cannot shrink factors from {k0} to {k} columns")
-    if k0 == k:
-        return U, V
-    rng = np.random.default_rng(seed)
-    sig = scale / np.sqrt(k)
-    Upad = np.concatenate([U, rng.normal(0.0, sig, size=(m, k - k0))], axis=1)
-    Vpad = np.concatenate([V, rng.normal(0.0, sig, size=(k - k0, h))], axis=0)
-    return Upad, Vpad
-
-
 def fit_auto_rank(
     data: WindowedDataset,
     lam: float,
@@ -462,28 +432,29 @@ def fit_auto_rank(
 ) -> tuple[LowRankForecaster, FitReport]:
     """fit_factored with automatic factor-width escalation.
 
-    Starts at opts.k (capped at min(Mn, Hn)).  If the reduced rank comes
-    back equal to the factor width, the width is doubled (still capped)
-    and the fit restarts warm from the previous factors padded with fresh
-    random columns, since the solution may be rank-limited by k.  The
-    report lists the widths tried; cap_reached flags an undecidable rank
-    at the dimension cap.
+    Starts at opts.k, or at the width of an opts.init warm start if that
+    is wider, capped at min(Mn, Hn).  If the reduced rank comes back equal
+    to the factor width, the width is doubled (still capped) and the fit
+    restarts warm from the previous factors, widened with fresh random
+    columns, since the solution may be rank-limited by k.  The report
+    lists the widths tried; cap_reached flags an undecidable rank at the
+    dimension cap.
     """
     opts = opts or FitOptions()
     cap = min(data.P.shape[1], data.F.shape[1])
-    k = min(opts.k, cap)
-    scale = float(np.std(data.F)) or 1.0
+    k = opts.k
+    if opts.init is not None and np.ndim(opts.init[0]) == 2:
+        k = max(k, np.shape(opts.init[0])[1])  # a warm start is never narrowed
+    k = min(k, cap)
     schedule = []
-    init = opts.init
+    step = opts
     t0 = time.perf_counter()
     while True:
-        model, report = fit_factored(
-            data, lam, kappa, loss, W, replace(opts, k=k, init=init), means
-        )
+        model, report = fit_factored(data, lam, kappa, loss, W, replace(step, k=k), means)
         schedule.append(k)
         if model.rank < k or k == cap:
             break
-        init = _pad_factors(model.U, model.V, min(2 * k, cap), opts.seed + len(schedule), scale)
+        step = replace(opts, init=(model.U, model.V), seed=opts.seed + len(schedule))
         k = min(2 * k, cap)
     report.k_schedule = schedule
     report.cap_reached = model.rank == cap

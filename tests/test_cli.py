@@ -459,6 +459,16 @@ def test_config_conflicts_and_unknown_options(small, tmp_path, capsys):
     ) == 2
     assert "unknown solver options: memory" in capsys.readouterr().err
 
+    # warm starts come from --warm-start, not from raw factors in the config
+    bad.write_text(
+        '{"train": "%s", "M": 3, "H": 2, "alpha": 0.4, "solver": {"init": [[1.0]]}}' % train
+    )
+    assert run(
+        "fit", "--config", bad,
+        "--model-out", tmp_path / "m.json", "--report-out", tmp_path / "r.json",
+    ) == 2
+    assert "unknown solver options: init" in capsys.readouterr().err
+
 
 def test_sweep_command(small, tmp_path):
     out = tmp_path / "sweep.csv"

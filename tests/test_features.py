@@ -351,6 +351,22 @@ def test_ridge_phi_above_lambda_max_is_pure_ridge(seed):
     assert np.linalg.norm(Phi - Phi_ridge) <= 1e-6 * np.linalg.norm(Phi_ridge)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_joint_model_is_balanced_reduced_theta(seed):
+    # with joint_nuclear the factorization covers [theta; Phi], but the
+    # returned model describes theta alone: its singular values are those
+    # of theta and its factors are balanced, ||U||^2 = ||V||^2 = sum(sigma)
+    data, aux = rand_joint_instance(np.random.default_rng(seed))
+    lam = 0.05 * lambda_max(np.hstack([data.P, aux]), data.F)
+    model, _, _ = aux_joint_fit(data, aux, lam, opts=FitOptions(k=4))
+    sigma = np.linalg.svd(model.theta(), compute_uv=False)[: model.rank]
+    assert model.rank > 0
+    assert np.allclose(model.singular_values, sigma, rtol=1e-8, atol=0.0)
+    total = float(model.singular_values.sum())
+    assert np.isclose(float((model.U * model.U).sum()), total, rtol=1e-8, atol=0.0)
+    assert np.isclose(float((model.V * model.V).sum()), total, rtol=1e-8, atol=0.0)
+
+
 def test_joint_fit_validation(rng):
     data, aux = rand_joint_instance(rng)
     with pytest.raises(ValueError):

@@ -185,8 +185,40 @@ def test_fit_validation(rng):
         fit_factored(data, 0.1, opts=FitOptions(k=0))
     with pytest.raises(ValueError):
         fit_factored(data, 0.1, opts=FitOptions(k=999))
-    with pytest.raises(ValueError):
-        fit_factored(data, 0.1, opts=FitOptions(k=2, init=(np.zeros((3, 3)), np.zeros((3, 3)))))
+    bad_init = (np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="warm start"):
+        fit_factored(data, 0.1, opts=FitOptions(k=2, init=bad_init))
+    wide = (np.zeros((data.P.shape[1], 3)), np.zeros((3, data.F.shape[1])))
+    with pytest.raises(ValueError, match="warm start"):
+        fit_factored(data, 0.1, opts=FitOptions(k=2, init=wide))
+    # the shape is checked before the zero exit above lambda_max
+    with pytest.raises(ValueError, match="warm start"):
+        fit_factored(data, 2.0 * lambda_max(data.P, data.F), opts=FitOptions(k=2, init=bad_init))
+
+
+def test_warm_start_is_widened_to_k(rng):
+    # a width-2 warm start keeps its columns and gains k - 2 random ones
+    data = rand_instance(rng, N=25)
+    mcols, hcols = data.P.shape[1], data.F.shape[1]
+    U2, V2 = rng.normal(size=(mcols, 2)), rng.normal(size=(2, hcols))
+    U, V, *_ = _fit_arrays(data.P, data.F, data.n, 0.1, 0.0, Loss(), None,
+                           FitOptions(k=4, max_outer=0, init=(U2, V2)))
+    assert U.shape == (mcols, 4) and V.shape == (4, hcols)
+    assert np.array_equal(U[:, :2], U2)
+    assert np.array_equal(V[:2], V2)
+    assert np.all(U[:, 2:] != 0) and np.all(V[2:] != 0)
+
+
+def test_random_init_is_width_zero_warm_start(rng):
+    data = rand_instance(rng, N=25)
+    mcols, hcols = data.P.shape[1], data.F.shape[1]
+    args = (data.P, data.F, data.n, 0.1, 0.0, Loss(), None)
+    U, V, trace, *_ = _fit_arrays(*args, FitOptions(k=3, max_outer=0, seed=4))
+    empty = (np.zeros((mcols, 0)), np.zeros((0, hcols)))
+    Ue, Ve, trace_e, *_ = _fit_arrays(*args, FitOptions(k=3, max_outer=0, seed=4, init=empty))
+    assert np.array_equal(U, Ue)
+    assert np.array_equal(V, Ve)
+    assert trace == trace_e
 
 
 def test_raw_factors_balance_at_convergence(rng):
@@ -324,6 +356,16 @@ def test_auto_rank_cap(rng):
     model, report = fit_auto_rank(data, lam, opts=FitOptions(k=1, obj_tol=1e-12, max_outer=300))
     assert report.k_schedule == [1, 2]
     assert report.cap_reached and model.rank == 2
+
+
+def test_auto_rank_starts_at_warm_start_width(rng):
+    # a warm start wider than opts.k sets the first width instead of failing
+    data = rand_instance(rng, N=30)
+    model, _ = fit_factored(data, 1e-3 * lambda_max(data.P, data.F), opts=FitOptions(k=3))
+    assert model.rank == 3
+    lam = 0.5 * lambda_max(data.P, data.F)
+    _, report = fit_auto_rank(data, lam, opts=FitOptions(k=1, init=(model.U, model.V)))
+    assert report.k_schedule[0] == 3
 
 
 def test_auto_rank_respects_default_width(rng):
