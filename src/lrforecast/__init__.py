@@ -54,6 +54,7 @@ from .baselines import (
 )
 from .features import (
     FeatureSpec,
+    ModelBundle,
     TrendModel,
     aux_joint_fit,
     detrend_apply,
@@ -87,7 +88,7 @@ __all__ = [
     "empirical_autocov", "empirical_forecaster", "cond_mean_forecaster",
     "ar_fit", "ar_iterated_forecaster", "stationary_cov", "ss_autocov",
     "ss_forecaster", "zero_forecaster", "mean_forecaster", "to_low_rank",
-    "FeatureSpec", "TrendModel", "time_features", "detrend_fit", "detrend_apply",
+    "FeatureSpec", "ModelBundle", "TrendModel", "time_features", "detrend_fit", "detrend_apply",
     "retrend", "aux_joint_fit", "latent_ar_fit",
     "SimSpec", "gen_model", "sample", "state_alignment",
     "EvalResult", "SweepRow", "SweepTable", "CVResult",

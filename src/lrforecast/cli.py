@@ -18,20 +18,21 @@ import sys
 
 import numpy as np
 
-from .core import TimeSeries, build_windows, center, past_windows
-from .evaluation import evaluate_forecasts, sweep
+from .core import build_windows, center, past_windows
+from .evaluation import evaluate, sweep
 from .features import (
     FeatureSpec,
+    ModelBundle,
     aux_joint_fit,
     detrend_apply,
     detrend_fit,
     latent_ar_fit,
+    origin_times,
     retrend,
     time_features,
 )
 from .objective import HUBER, L1, SQUARED_L2, Loss, build_weights
 from .serialize import (
-    ModelBundle,
     dump_json,
     load_json,
     load_model_json,
@@ -149,29 +150,6 @@ def _weights_from(args, cfg, N, M, H, T, n):
     return build_weights(float(h_t), float(h_tau), w_col, N, M, H, T)
 
 
-def _origin_times(series: TimeSeries, M: int, count: int) -> np.ndarray:
-    # window i forecasts from the time of its last past row
-    return series.t0 + M - 1 + np.arange(count)
-
-
-def _bundle_metrics(bundle: ModelBundle, series: TimeSeries, loss: Loss):
-    """Evaluation that honors a bundle's trend and aux attachments."""
-    model = bundle.model
-    if bundle.trend is not None:
-        series = detrend_apply(series, bundle.trend)
-    centered, _ = center(series, model.means)
-    data = build_windows(centered, model.M, model.H)
-    Fhat = model.forecast(data.P)
-    if bundle.phi is not None:
-        if bundle.aux_features is None:
-            raise ValueError(
-                "model carries aux coefficients but no feature spec to evaluate them"
-            )
-        aux = time_features(_origin_times(series, model.M, data.N), bundle.aux_features)
-        Fhat = Fhat + aux @ bundle.phi
-    return evaluate_forecasts(Fhat, data.F, data.n, loss)
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -234,19 +212,17 @@ def cmd_fit(args) -> int:
         lam = float(alpha) * lambda_max(data.P, data.F, loss, W=W)
     else:
         lam = float(lam)
-    trend = None
     trend_path = _pick(args.trend, cfg.get("trend"))
-    if trend_path:
-        trend = trend_from_json(load_json(trend_path))
-        # the trend is carried for forecasting; fitting uses the input as is
+    trend = trend_from_json(load_json(trend_path)) if trend_path else None
+    if trend is not None and trend.features is None:  # evaluate/forecast re-apply it
+        raise ValueError("--trend needs a trend fitted on features, not on --aux rows")
     spec, joint = _features_from(args, cfg)
+    phi = None
     if spec is not None:
-        aux = time_features(_origin_times(series, M, data.N), spec)
+        aux = time_features(origin_times(series, M, data.N), spec)
         model, phi, report = aux_joint_fit(
             data, aux, lam, kappa, loss, W, opts, joint_nuclear=joint, means=means
         )
-        bundle = ModelBundle(model, trend=trend, phi=phi, aux_features=spec)
-        save_model_json(model_out, model, trend=trend, phi=phi, aux_features=spec)
     else:
         warm_path = _pick(args.warm_start, cfg.get("warm_start"))
         if warm_path:
@@ -267,9 +243,9 @@ def cmd_fit(args) -> int:
             )
         else:
             model, report = fit_auto_rank(data, lam, kappa, loss, W, opts, means)
-        bundle = ModelBundle(model, trend=trend)
-        save_model_json(model_out, model, trend=trend)
-    res = _bundle_metrics(bundle, series, loss)
+    save_model_json(model_out, model, trend=trend, phi=phi, aux_features=spec)
+    # the input is already the trend's residual, so it is scored without the trend
+    res = evaluate(ModelBundle(model, phi=phi, aux_features=spec), series, loss)
     report_doc = {
         "lambda": lam,
         "alpha": None if alpha is None else float(alpha),
@@ -277,17 +253,13 @@ def cmd_fit(args) -> int:
         "loss": loss.to_json(),
         "rank": model.rank,
         "final_objective": report.final_objective,
-        "objective_trace": list(report.objective_trace),
+        "objective_trace": report.objective_trace,
         "iterations": report.iterations,
         "sweeps": report.sweeps,
         "converged": report.converged,
-        "k_schedule": list(report.k_schedule),
+        "k_schedule": report.k_schedule,
         "cap_reached": report.cap_reached,
-        "optimality_residuals": (
-            None
-            if report.optimality_residuals is None
-            else list(report.optimality_residuals)
-        ),
+        "optimality_residuals": report.optimality_residuals,  # a tuple dumps as a list
         "train_loss": res.loss,
         "train_inconsistency": res.inconsistency,
         "per_horizon_train_loss": res.per_horizon_loss.tolist(),
@@ -315,22 +287,13 @@ def cmd_forecast(args) -> int:
         raise ValueError(
             f"insufficient history: need {model.M} rows up to t={at}, have {avail}"
         )
-    work = detrend_apply(series, bundle.trend) if bundle.trend is not None else series
-    centered, _ = center(work, model.means)
-    p = centered.values[avail - model.M : avail].ravel()
+    p = bundle.center(series).values[avail - model.M : avail].ravel()
     z = model.encode(p)
-    fhat = model.decode(z).reshape(model.H, model.n) + model.means
-    if bundle.phi is not None:
-        if bundle.aux_features is None:
-            raise ValueError(
-                "model carries aux coefficients but no feature spec to forecast with"
-            )
-        row = time_features(np.array([at]), bundle.aux_features) @ bundle.phi
-        fhat = fhat + row.reshape(model.H, model.n)
+    # data-scale forecast summed as (decode + means) + aux row, in that order
+    fhat = model.decode(z) + np.tile(model.means, model.H) + bundle.aux_term([at])
+    fhat = fhat.reshape(model.H, model.n)
     future_t = np.arange(at + 1, at + model.H + 1)
-    if bundle.trend is not None:
-        if bundle.trend.features is None:
-            raise ValueError("stored trend has no feature spec; cannot retrend")
+    if bundle.trend is not None:  # bundle.center raised if it has no feature spec
         fhat = retrend(fhat, bundle.trend, time_features(future_t, bundle.trend.features))
     names = series.column_names()
     out = fhat
@@ -345,7 +308,7 @@ def cmd_forecast(args) -> int:
 def cmd_evaluate(args) -> int:
     bundle = load_model_json(args.model)
     series = read_series_csv(args.input)
-    res = _bundle_metrics(bundle, series, bundle.model.loss)
+    res = evaluate(bundle, series, bundle.model.loss)
     dump_json(
         args.out,
         {
@@ -417,8 +380,7 @@ def cmd_latent(args) -> int:
     if model.rank == 0:
         raise ValueError("model has rank 0: no latent states to extract")
     series = read_series_csv(args.input)
-    work = detrend_apply(series, bundle.trend) if bundle.trend is not None else series
-    centered, _ = center(work, model.means)
+    centered = bundle.center(series)
     if centered.T < model.M:
         raise ValueError(f"series has {centered.T} rows; need at least M={model.M}")
     Z = model.encode(past_windows(centered.values, model.M))
@@ -427,7 +389,7 @@ def cmd_latent(args) -> int:
         args.out,
         Z,
         [f"z{j + 1}" for j in range(model.rank)],
-        t_index=_origin_times(series, model.M, count),
+        t_index=origin_times(series, model.M, count),
     )
     A, Wc = latent_ar_fit(Z, jitter=args.jitter)
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))

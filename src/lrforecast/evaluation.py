@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import TimeSeries, build_windows, center
+from .features import ModelBundle, origin_times
 from .objective import Loss, inconsistency, loss_value
 from .solver import FitOptions, fit_auto_rank, lambda_max
 
@@ -57,16 +58,19 @@ def evaluate_forecasts(
 
 
 def evaluate(model, series: TimeSeries | np.ndarray, loss: Loss = Loss()) -> EvalResult:
-    """Windowed forecast metrics of a fitted model on a (held-out) series.
+    """Windowed forecast metrics of a fitted model or ModelBundle on a series.
 
-    The series is centered with the model's stored means, windowed with
-    the model's M and H, and scored with the given loss.  The per-horizon
-    losses use the same per-window averaging as the total, restricted to
-    one horizon block, so for elementwise losses they sum to the total.
+    The series is de-trended and centered by ModelBundle.center, windowed
+    with the model's M and H, forecast with the aux term at each window's
+    origin by ModelBundle.forecast, and scored with the given loss; a bare
+    model is the bundle with no attachments.  The per-horizon losses use
+    the same per-window averaging as the total, restricted to one horizon
+    block, so for elementwise losses they sum to the total.
     """
-    centered, _ = center(series, model.means)
-    data = build_windows(centered, model.M, model.H)
-    Fhat = model.forecast(data.P)
+    bundle = model if isinstance(model, ModelBundle) else ModelBundle(model)
+    centered = bundle.center(series)
+    data = build_windows(centered, bundle.model.M, bundle.model.H)
+    Fhat = bundle.forecast(data.P, origin_times(centered, data.M, data.N))
     return evaluate_forecasts(Fhat, data.F, data.n, loss)
 
 
@@ -82,6 +86,7 @@ class SweepRow:
     test_inconsistency: float
     wall_time_s: float
     failed: bool = False
+    error: str = ""  # "Type: message" of a failed fit's exception; not in the CSV
 
 
 @dataclass
@@ -120,16 +125,15 @@ def _sweep_chain(
         t0 = time.perf_counter()
         try:
             model, report = fit_auto_rank(data_train, lam, kappa, loss, opts=opts, means=means)
-        except Exception:
+        except Exception as e:
             rows.append(
                 SweepRow(alpha, kappa, lam, -1, np.nan, np.nan, np.nan, np.nan,
-                         time.perf_counter() - t0, failed=True)
+                         time.perf_counter() - t0, failed=True,
+                         error=f"{type(e).__name__}: {e}")
             )
             continue
-        tr_hat = model.forecast(data_train.P)
-        te_hat = model.forecast(data_test.P)
-        tr = evaluate_forecasts(tr_hat, data_train.F, data_train.n, loss)
-        te = evaluate_forecasts(te_hat, data_test.F, data_test.n, loss)
+        tr, te = (evaluate_forecasts(model.forecast(d.P), d.F, d.n, loss)
+                  for d in (data_train, data_test))
         rows.append(
             SweepRow(alpha, kappa, lam, model.rank, tr.loss, te.loss,
                      tr.inconsistency, te.inconsistency, report.wall_time)
@@ -240,24 +244,19 @@ def walk_forward_cv(
         assert train.T == b0 and b0 + test.T == b1 and b1 <= T
         splits.append(sweep(train, test, alphas, kappas, M, H, loss, opts))
     agg = SweepTable()
+    averaged = ("lam", "train_loss", "test_loss", "train_inconsistency", "test_inconsistency")
     for i in range(len(splits[0].rows)):
         group = [t.rows[i] for t in splits]
         ok = [r for r in group if not r.failed]
         if not ok:
-            agg.rows.append(replace(group[0]))
+            agg.rows.append(replace(group[0]))  # all failed: keeps the first error
             continue
-        agg.rows.append(
-            SweepRow(
-                alpha=group[0].alpha,
-                kappa=group[0].kappa,
-                lam=float(np.mean([r.lam for r in ok])),
-                rank=int(round(np.mean([r.rank for r in ok]))),
-                train_loss=float(np.mean([r.train_loss for r in ok])),
-                test_loss=float(np.mean([r.test_loss for r in ok])),
-                train_inconsistency=float(np.mean([r.train_inconsistency for r in ok])),
-                test_inconsistency=float(np.mean([r.test_inconsistency for r in ok])),
-                wall_time_s=float(np.sum([r.wall_time_s for r in group])),
-                failed=len(ok) < len(group),
-            )
-        )
+        agg.rows.append(replace(
+            group[0],
+            **{f: float(np.mean([getattr(r, f) for r in ok])) for f in averaged},
+            rank=int(round(np.mean([r.rank for r in ok]))),
+            wall_time_s=float(np.sum([r.wall_time_s for r in group])),
+            failed=len(ok) < len(group),
+            error=next((r.error for r in group if r.failed), ""),
+        ))
     return CVResult(splits=splits, boundaries=boundaries, aggregate=agg)

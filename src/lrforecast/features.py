@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import _chol_solve, _spd_cholesky
-from .core import TimeSeries, WindowedDataset
+from .core import TimeSeries, WindowedDataset, center
 from .objective import Loss
 from .solver import FitOptions, FitReport, LowRankForecaster, _fit_arrays, reduce_rank
 
@@ -178,6 +178,46 @@ def retrend(
         raise ValueError("need one aux row per forecast row")
     out = rows + aux_future @ trend.S.T
     return out.ravel() if flat else out
+
+
+def origin_times(series: TimeSeries, M: int, count: int) -> np.ndarray:
+    """Origin times of the first count windows: each forecasts from its last past row."""
+    return series.t0 + M - 1 + np.arange(count)
+
+
+@dataclass
+class ModelBundle:
+    """A fitted forecaster with the trend and aux terms that apply it to a series.
+
+    The trend is removed before centering (retrend adds it back to
+    forecasts); phi (p x Hn) weighs the aux_features rows at each forecast
+    origin.  A bare forecaster is the bundle with no attachments.
+    """
+
+    model: LowRankForecaster
+    trend: TrendModel | None = None
+    phi: np.ndarray | None = None
+    aux_features: FeatureSpec | None = None
+
+    def center(self, series: TimeSeries | np.ndarray) -> TimeSeries:
+        """De-trends with the stored trend, if any, then centers with the model's means."""
+        if self.trend is not None:
+            series = detrend_apply(series, self.trend)
+        return center(series, self.model.means)[0]
+
+    def aux_term(self, origins: np.ndarray) -> np.ndarray | float:
+        """time_features(origins) @ phi, one row per origin; 0.0 without phi."""
+        if self.phi is None:
+            return 0.0
+        if self.aux_features is None:
+            raise ValueError("model carries aux coefficients but no feature spec")
+        return time_features(origins, self.aux_features) @ self.phi
+
+    def forecast(self, P: np.ndarray, origins: np.ndarray) -> np.ndarray:
+        """Centered forecasts of the past windows P plus the aux term at their origins."""
+        Fhat = self.model.forecast(P)
+        # without phi the forecasts pass through as computed, with no N x Hn copy
+        return Fhat if self.phi is None else Fhat + self.aux_term(origins)
 
 
 def latent_ar_fit(Z: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import StateSpaceModel
 from .core import TimeSeries
 from .evaluation import SWEEP_CSV_COLUMNS, SweepRow
-from .features import FeatureSpec, TrendModel
+from .features import FeatureSpec, ModelBundle, TrendModel
 from .objective import Loss
 from .solver import LowRankForecaster
 from .simgen import SimSpec
@@ -136,16 +135,6 @@ def write_matrix_csv(
 
 
 # ----------------------------------------------------------------- model JSON
-
-
-@dataclass
-class ModelBundle:
-    """A forecaster plus optional trend / auxiliary-feature attachments."""
-
-    model: LowRankForecaster
-    trend: TrendModel | None = None
-    phi: np.ndarray | None = None
-    aux_features: FeatureSpec | None = None
 
 
 def model_to_json(

@@ -65,7 +65,11 @@ class FitOptions:
 
 @dataclass
 class FitReport:
-    """Convergence record for one fit."""
+    """Convergence record for one fit.
+
+    From fit_auto_rank, iterations, sweeps and wall_time total every width
+    in k_schedule; the other fields are those of the last width's fit.
+    """
 
     objective_trace: list[float]
     final_objective: float
@@ -437,8 +441,8 @@ def fit_auto_rank(
     to the factor width, the width is doubled (still capped) and the fit
     restarts warm from the previous factors, widened with fresh random
     columns, since the solution may be rank-limited by k.  The report
-    lists the widths tried; cap_reached flags an undecidable rank at the
-    dimension cap.
+    lists the widths tried and counts the work of all of them (see
+    FitReport); cap_reached flags an undecidable rank at the dimension cap.
     """
     opts = opts or FitOptions()
     cap = min(data.P.shape[1], data.F.shape[1])
@@ -448,14 +452,18 @@ def fit_auto_rank(
     k = min(k, cap)
     schedule = []
     step = opts
+    iterations = sweeps = 0
     t0 = time.perf_counter()
     while True:
         model, report = fit_factored(data, lam, kappa, loss, W, replace(step, k=k), means)
         schedule.append(k)
+        iterations += report.iterations
+        sweeps += report.sweeps
         if model.rank < k or k == cap:
             break
         step = replace(opts, init=(model.U, model.V), seed=opts.seed + len(schedule))
         k = min(2 * k, cap)
+    report.iterations, report.sweeps = iterations, sweeps
     report.k_schedule = schedule
     report.cap_reached = model.rank == cap
     report.wall_time = time.perf_counter() - t0

@@ -15,9 +15,11 @@ import pytest
 
 from lrforecast.cli import main
 from lrforecast.core import build_windows, center
+from lrforecast.evaluation import evaluate
 from lrforecast.features import detrend_apply, retrend, time_features
 from lrforecast.objective import Loss
 from lrforecast.serialize import (
+    dump_json,
     load_json,
     load_model_json,
     read_series_csv,
@@ -298,6 +300,18 @@ def test_detrend_then_fit_then_forecast(sim, tmp_path):
     ) == 0
     bundle = load_model_json(str(model_path))
     assert bundle.trend is not None
+    # the fit input is the residual already: the report scores it once
+    # de-trended, as evaluate does on the raw series with the stored trend
+    report = load_json(str(tmp_path / "r.json"))
+    metrics = tmp_path / "metrics.json"
+    assert run(
+        "evaluate", "--model", model_path, "--input", sim / "train.csv", "--out", metrics
+    ) == 0
+    doc = load_json(str(metrics))
+    assert math.isclose(report["train_loss"], doc["loss"], rel_tol=1e-12)
+    assert math.isclose(
+        report["train_inconsistency"], doc["inconsistency"], rel_tol=1e-12
+    )
 
     out = tmp_path / "f.csv"
     assert run(
@@ -338,6 +352,16 @@ def test_fit_with_aux_features_and_forecast(small, tmp_path):
     row = time_features(np.array([40]), bundle.aux_features) @ bundle.phi
     fhat = fhat + row.reshape(model.H, model.n)
     assert np.allclose(read_series_csv(str(out)).values, fhat, atol=1e-12)
+
+    metrics = tmp_path / "metrics.json"
+    assert run(
+        "evaluate", "--model", model_path, "--input", small / "test.csv", "--out", metrics
+    ) == 0
+    doc = load_json(str(metrics))
+    lib = evaluate(load_model_json(str(model_path)), read_series_csv(str(small / "test.csv")))
+    assert doc["loss"] == lib.loss and doc["inconsistency"] == lib.inconsistency
+    assert doc["per_horizon_loss"] == lib.per_horizon_loss.tolist()
+    assert doc["n_windows"] == lib.n_windows
 
 
 def test_fit_aux_ridge_path(small, tmp_path):
@@ -504,6 +528,15 @@ def test_validation_errors_exit_two(small, tmp_path, capsys):
 
     assert run("fit", "--train", small / "train.csv", "--alpha", 0.3) == 2
     assert "--M and --H are required" in capsys.readouterr().err
+
+    # a trend fitted on explicit aux rows cannot be re-applied to a new series
+    aux_trend = tmp_path / "trend.json"
+    dump_json(str(aux_trend), {"S": [[0.0], [0.0]], "lam": 0.0, "features": None})
+    model_out = tmp_path / "m.json"
+    assert run("fit", "--train", small / "train.csv", "--M", 3, "--H", 2,
+               "--alpha", 0.3, "--trend", aux_trend, "--model-out", model_out) == 2
+    assert "--trend needs a trend fitted on features" in capsys.readouterr().err
+    assert not model_out.exists()
 
 
 def test_numerical_failures_exit_three(sim, tmp_path, capsys):

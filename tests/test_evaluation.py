@@ -8,6 +8,7 @@ from lrforecast import (
     EvalResult,
     FitOptions,
     Loss,
+    ModelBundle,
     SweepRow,
     SweepTable,
     TimeSeries,
@@ -65,6 +66,13 @@ def test_evaluate_matches_manual_computation(rng):
     manual_loss = loss_value(held.P @ model.theta, held.F)
     assert np.isclose(res.loss, manual_loss)
     assert res.n_windows == held.N
+    # a bare model is the bundle with no attachments, bit for bit
+    bundled = evaluate(ModelBundle(model), x[40:])
+    assert bundled.loss == res.loss and bundled.inconsistency == res.inconsistency
+    assert np.array_equal(bundled.per_horizon_loss, res.per_horizon_loss)
+    assert bundled.n_windows == res.n_windows
+    with pytest.raises(ValueError, match="no feature spec"):
+        evaluate(ModelBundle(model, phi=np.zeros((1, 4))), x[40:])
 
 
 def test_evaluate_uses_model_means_not_series_means(rng):
@@ -134,8 +142,9 @@ def test_sweep_marks_failed_rows(rng, monkeypatch):
     monkeypatch.setattr(evaluation, "fit_auto_rank", flaky)
     table = sweep(x[:35], x[35:], [0.3], [0.0, 1.0], M=3, H=2, opts=FitOptions(k=3))
     good, bad = table.rows
-    assert not good.failed
+    assert not good.failed and good.error == ""
     assert bad.failed
+    assert bad.error == "RuntimeError: synthetic failure"
     assert bad.rank == -1
     assert np.isnan(bad.test_loss) and np.isnan(bad.train_loss)
 
@@ -202,6 +211,24 @@ def test_walk_forward_aggregate_averages(rng):
         assert np.isclose(r.test_loss, np.mean([p.test_loss for p in parts]))
         assert np.isclose(r.train_loss, np.mean([p.train_loss for p in parts]))
         assert r.alpha == parts[0].alpha and r.kappa == parts[0].kappa
+
+
+def test_walk_forward_aggregate_keeps_first_error(rng, monkeypatch):
+    x = small_series(rng, T=80)
+    real = evaluation.fit_auto_rank
+
+    def short_fails(data, lam, kappa=0.0, loss=Loss(), opts=None, means=None):
+        if data.N < 30:  # only the first split trains on fewer windows
+            raise RuntimeError(f"short split N={data.N}")
+        return real(data, lam, kappa, loss, opts=opts, means=means)
+
+    monkeypatch.setattr(evaluation, "fit_auto_rank", short_fails)
+    cv = walk_forward_cv(x, 2, [0.4], [0.0], M=3, H=2, opts=FitOptions(k=3))
+    first, second = (t.rows[0] for t in cv.splits)
+    (agg,) = cv.aggregate.rows
+    assert first.failed and not second.failed
+    assert agg.failed and agg.error == first.error == "RuntimeError: short split N=24"
+    assert agg.test_loss == second.test_loss
 
 
 def test_walk_forward_requires_enough_data():

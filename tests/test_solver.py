@@ -332,21 +332,34 @@ def test_zero_is_returned_exactly_at_and_above_lambda_max(rng):
 # ------------------------------------------------------------ fit_auto_rank
 
 
-def test_auto_rank_escalates_width(rng):
+def test_auto_rank_escalates_width(rng, monkeypatch):
     # data with an exactly rank-3 signal and faint noise: starting at k=1
     # the width must double until the fitted rank stops hitting it
     n, M, H, N = 2, 4, 3, 60
     theta0 = rng.normal(size=(M * n, 3)) @ rng.normal(size=(3, H * n))
     P = rng.normal(size=(N, M * n))
     F = P @ theta0 + 1e-8 * rng.normal(size=(N, H * n))
-    from lrforecast import WindowedDataset
+    from lrforecast import WindowedDataset, solver
 
     data = WindowedDataset(P=P, F=F, n=n, M=M, H=H)
     lam = 1e-3 * lambda_max(data.P, data.F)
+    per_width = []
+
+    def spy(*args, **kwargs):
+        out = fit_factored(*args, **kwargs)
+        per_width.append((out[1].iterations, out[1].sweeps, out[1].converged))
+        return out
+
+    monkeypatch.setattr(solver, "fit_factored", spy)
     model, report = fit_auto_rank(data, lam, opts=FitOptions(k=1, obj_tol=1e-12, max_outer=300))
     assert model.rank == 3
     assert report.k_schedule == [1, 2, 4]
     assert not report.cap_reached
+    # the work of every width is counted; convergence is the last width's
+    assert len(per_width) == 3
+    assert report.iterations == sum(w[0] for w in per_width)
+    assert report.sweeps == sum(w[1] for w in per_width)
+    assert report.converged == per_width[-1][2]
 
 
 def test_auto_rank_cap(rng):
