@@ -3,7 +3,7 @@
 All commands work over CSV series files and JSON documents (see the
 serialize module for the exact formats).  A JSON config file can supply
 any fit/sweep setting under the same name as its flag group; explicit
-flags win over config values.
+flags win over config values, and keys that name no setting are rejected.
 
 Exit codes: 0 success, 2 input validation error, 3 numerical failure.
 Given identical inputs and seeds every command writes bytewise-identical
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,42 +47,51 @@ from .serialize import (
     write_sweep_csv,
 )
 from .simgen import SimSpec, gen_model, sample
-from .solver import (
-    FitOptions,
-    NumericalError,
-    fit_auto_rank,
-    fit_factored,
-    lambda_max,
-)
-from dataclasses import replace
+from .solver import FitOptions, NumericalError, fit_auto_rank, lambda_max
 
 
 # --------------------------------------------------------------- config glue
 
 
-def _pick(*vals, default=None):
-    for v in vals:
-        if v is not None:
-            return v
-    return default
+# Every config key and the flag dest it fills; a dict is a nested group.
+# The solver group comes before the top-level seed, so solver.seed wins.
+CONFIG_KEYS = {
+    "solver": {k: k for k in ("k", "max_outer", "obj_tol", "grad_tol", "seed")},
+    "loss": {"kind": "loss", "delta": "delta"},  # or a bare kind string
+    "features": {k: k for k in ("periods", "weekday", "products", "joint_nuclear")},
+    "weights": {"h_t": "weight_h_t", "h_tau": "weight_h_tau", "w_col": "weight_col"},
+    "lambda": "lam",
+    **{k: k for k in (
+        "train", "test", "M", "H", "alpha", "kappa", "alphas", "kappas", "jobs",
+        "out", "model_out", "report_out", "trend", "warm_start", "seed",
+    )},
+}
+
+# the FitOptions fields settable by flag or by the config's "solver" object
+SOLVER_KEYS = tuple(CONFIG_KEYS["solver"].values())
 
 
-def _get(cfg: dict, *keys):
-    cur = cfg
-    for k in keys:
-        if not isinstance(cur, dict) or k not in cur:
-            return None
-        cur = cur[k]
-    return cur
+def _merge_config(args, doc, table=CONFIG_KEYS, group="config") -> None:
+    """Fills every setting whose flag was not given from the config document.
 
-
-def _config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    cfg = load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{args.config}: config must be a JSON object")
-    return cfg
+    Keys outside the table are rejected at every level.  A known key whose
+    flag the command lacks is ignored, so one file serves fit and sweep.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{group} must be a JSON object")
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ValueError(f"unknown {group} options: {', '.join(sorted(unknown))}")
+    for key, dest in table.items():
+        val = doc.get(key)
+        if val is None:
+            continue
+        if isinstance(dest, dict):
+            if key == "loss" and isinstance(val, str):
+                val = {"kind": val}
+            _merge_config(args, val, dest, key)
+        elif hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, val)
 
 
 def _comma_floats(s: str) -> list[float]:
@@ -91,55 +101,30 @@ def _comma_floats(s: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad number list {s!r}") from None
 
 
-def _loss_from(args, cfg) -> Loss:
-    doc = cfg.get("loss")
-    cfg_kind = doc.get("kind") if isinstance(doc, dict) else doc
-    cfg_delta = doc.get("delta") if isinstance(doc, dict) else None
-    kind = _pick(getattr(args, "loss", None), cfg_kind, default=SQUARED_L2)
-    delta = _pick(getattr(args, "delta", None), cfg_delta)
-    if kind == HUBER and delta is None:
-        delta = 1.0
-    return Loss(kind=kind, delta=None if kind != HUBER else float(delta))
+def _loss_from(args) -> Loss:
+    kind = SQUARED_L2 if args.loss is None else args.loss
+    if kind != HUBER:
+        return Loss(kind=kind)
+    return Loss(kind=HUBER, delta=1.0 if args.delta is None else float(args.delta))
 
 
-# the FitOptions fields settable by flag or by the config's "solver" object
-SOLVER_KEYS = ("k", "max_outer", "obj_tol", "grad_tol", "seed")
+def _opts_from(args) -> FitOptions:
+    return FitOptions(**{
+        name: getattr(args, name) for name in SOLVER_KEYS if getattr(args, name) is not None
+    })
 
 
-def _opts_from(args, cfg) -> FitOptions:
-    base = dict(cfg.get("solver") or {})
-    unknown = set(base) - set(SOLVER_KEYS)
-    if unknown:
-        raise ValueError(f"unknown solver options: {', '.join(sorted(unknown))}")
-    if "seed" not in base and cfg.get("seed") is not None:
-        base["seed"] = cfg["seed"]
-    for name in SOLVER_KEYS:
-        v = getattr(args, name, None)
-        if v is not None:
-            base[name] = v
-    return FitOptions(**base)
-
-
-def _features_from(args, cfg) -> tuple[FeatureSpec | None, bool]:
-    periods = _pick(getattr(args, "periods", None), _get(cfg, "features", "periods"))
-    weekday = _pick(getattr(args, "weekday", None), _get(cfg, "features", "weekday"),
-                    default=False)
-    products = _pick(getattr(args, "products", None), _get(cfg, "features", "products"),
-                     default=False)
-    joint = _pick(getattr(args, "joint_nuclear", None),
-                  _get(cfg, "features", "joint_nuclear"), default=True)
-    if not periods and not weekday:
-        return None, bool(joint)
-    spec = FeatureSpec(
-        periods=tuple(periods or ()), weekday=bool(weekday), products=bool(products)
+def _features_from(args) -> FeatureSpec | None:
+    if not args.periods and not args.weekday:
+        return None
+    return FeatureSpec(
+        periods=tuple(args.periods or ()), weekday=bool(args.weekday),
+        products=bool(args.products),
     )
-    return spec, bool(joint)
 
 
-def _weights_from(args, cfg, N, M, H, T, n):
-    h_t = _pick(getattr(args, "weight_h_t", None), _get(cfg, "weights", "h_t"))
-    h_tau = _pick(getattr(args, "weight_h_tau", None), _get(cfg, "weights", "h_tau"))
-    w_col = _pick(getattr(args, "weight_col", None), _get(cfg, "weights", "w_col"))
+def _weights_from(args, N, M, H, T, n):
+    h_t, h_tau, w_col = args.weight_h_t, args.weight_h_tau, args.weight_col
     if h_t is None and h_tau is None and w_col is None:
         return None
     if h_t is None or h_tau is None:
@@ -185,64 +170,55 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _config(args)
-    train_path = _pick(args.train, cfg.get("train"))
-    if not train_path:
+    if not args.train:
         raise ValueError("a training CSV is required (--train)")
-    M = _pick(args.M, cfg.get("M"))
-    H = _pick(args.H, cfg.get("H"))
-    if M is None or H is None:
+    if args.M is None or args.H is None:
         raise ValueError("--M and --H are required")
-    M, H = int(M), int(H)
-    loss = _loss_from(args, cfg)
-    alpha = _pick(args.alpha, cfg.get("alpha"))
-    lam = _pick(args.lam, cfg.get("lambda"))
+    M, H = int(args.M), int(args.H)
+    loss = _loss_from(args)
+    alpha, lam = args.alpha, args.lam
     if (alpha is None) == (lam is None):
         raise ValueError("exactly one of --alpha and --lambda must be given")
-    kappa = float(_pick(args.kappa, cfg.get("kappa"), default=0.0))
-    opts = _opts_from(args, cfg)
-    model_out = _pick(args.model_out, cfg.get("model_out"), default="model.json")
-    report_out = _pick(args.report_out, cfg.get("report_out"), default="report.json")
+    kappa = float(0.0 if args.kappa is None else args.kappa)
+    opts = _opts_from(args)
+    spec = _features_from(args)
+    if spec is not None and args.warm_start:
+        raise ValueError("--warm-start cannot be combined with feature flags")
+    model_out = args.model_out or "model.json"
+    report_out = args.report_out or "report.json"
 
-    series = read_series_csv(train_path)
+    series = read_series_csv(args.train)
     centered, means = center(series)
     data = build_windows(centered, M, H)
-    W = _weights_from(args, cfg, data.N, M, H, series.T, series.n)
+    W = _weights_from(args, data.N, M, H, series.T, series.n)
     if alpha is not None:
         lam = float(alpha) * lambda_max(data.P, data.F, loss, W=W)
     else:
         lam = float(lam)
-    trend_path = _pick(args.trend, cfg.get("trend"))
-    trend = trend_from_json(load_json(trend_path)) if trend_path else None
+    trend = trend_from_json(load_json(args.trend)) if args.trend else None
     if trend is not None and trend.features is None:  # evaluate/forecast re-apply it
         raise ValueError("--trend needs a trend fitted on features, not on --aux rows")
-    spec, joint = _features_from(args, cfg)
     phi = None
     if spec is not None:
         aux = time_features(origin_times(series, M, data.N), spec)
+        joint = args.joint_nuclear is None or bool(args.joint_nuclear)
         model, phi, report = aux_joint_fit(
             data, aux, lam, kappa, loss, W, opts, joint_nuclear=joint, means=means
         )
-    else:
-        warm_path = _pick(args.warm_start, cfg.get("warm_start"))
-        if warm_path:
-            prev = load_model_json(warm_path).model
-            if (prev.n, prev.M, prev.H) != (data.n, M, H):
-                raise ValueError(
-                    "warm-start model shape "
-                    f"(n={prev.n}, M={prev.M}, H={prev.H}) does not match the data"
-                )
-            # resume at the stored width unless a wider k is asked for
-            # explicitly; padding to the default width would bury the warm
-            # start under random columns at signal scale
-            cap = min(data.P.shape[1], data.F.shape[1])
-            k_req = _pick(args.k, _get(cfg, "solver", "k"))
-            k = min(max(int(k_req or 1), prev.rank), cap)
-            model, report = fit_factored(
-                data, lam, kappa, loss, W, replace(opts, k=k, init=(prev.U, prev.V)), means
+    elif args.warm_start:
+        prev = load_model_json(args.warm_start).model
+        if (prev.n, prev.M, prev.H) != (data.n, M, H):
+            raise ValueError(
+                "warm-start model shape "
+                f"(n={prev.n}, M={prev.M}, H={prev.H}) does not match the data"
             )
-        else:
-            model, report = fit_auto_rank(data, lam, kappa, loss, W, opts, means)
+        # start at the stored width unless a wider k is asked for explicitly, and
+        # widen from there like a cold fit; padding to the default width would
+        # bury the warm start under random columns at signal scale
+        warm = replace(opts, k=args.k or 1, init=(prev.U, prev.V))
+        model, report = fit_auto_rank(data, lam, kappa, loss, W, warm, means)
+    else:
+        model, report = fit_auto_rank(data, lam, kappa, loss, W, opts, means)
     save_model_json(model_out, model, trend=trend, phi=phi, aux_features=spec)
     # the input is already the trend's residual, so it is scored without the trend
     res = evaluate(ModelBundle(model, phi=phi, aux_features=spec), series, loss)
@@ -323,26 +299,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args)
-    train_path = _pick(args.train, cfg.get("train"))
-    test_path = _pick(args.test, cfg.get("test"))
-    if not train_path or not test_path:
+    if not args.train or not args.test:
         raise ValueError("--train and --test CSVs are required")
-    M = _pick(args.M, cfg.get("M"))
-    H = _pick(args.H, cfg.get("H"))
-    if M is None or H is None:
+    if args.M is None or args.H is None:
         raise ValueError("--M and --H are required")
-    alphas = _pick(args.alphas, cfg.get("alphas"))
-    if not alphas:
+    if not args.alphas:
         raise ValueError("--alphas is required (comma-separated)")
-    kappas = _pick(args.kappas, cfg.get("kappas"), default=[0.0])
-    loss = _loss_from(args, cfg)
-    opts = _opts_from(args, cfg)
-    jobs = int(_pick(args.jobs, cfg.get("jobs"), default=1))
-    out = _pick(args.out, cfg.get("out"), default="sweep.csv")
-    train = read_series_csv(train_path)
-    test = read_series_csv(test_path)
-    table = sweep(train, test, alphas, kappas, int(M), int(H), loss, opts, jobs=jobs)
+    kappas = [0.0] if args.kappas is None else args.kappas
+    loss = _loss_from(args)
+    opts = _opts_from(args)
+    jobs = int(1 if args.jobs is None else args.jobs)
+    out = args.out or "sweep.csv"
+    train = read_series_csv(args.train)
+    test = read_series_csv(args.test)
+    table = sweep(
+        train, test, args.alphas, kappas, int(args.M), int(args.H), loss, opts, jobs=jobs
+    )
     write_sweep_csv(out, table.rows)
     best = table.best()
     print(
@@ -362,7 +334,7 @@ def cmd_detrend(args) -> int:
             )
         spec = None
     else:
-        spec, _ = _features_from(args, {})
+        spec = _features_from(args)
         if spec is None:
             raise ValueError("give --periods/--weekday features or an --aux CSV")
         aux_mat = None
@@ -523,6 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            _merge_config(args, load_json(args.config))
         return args.func(args)
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -18,7 +18,7 @@ usable for interpretation or simulation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,10 +261,11 @@ def aux_joint_fit(
     with V in each sweep.  With zero aux columns both paths reduce to the
     plain factored fit.
 
-    The fit runs at the fixed width opts.k: there is no rank escalation
-    as in fit_auto_rank, so a returned rank equal to opts.k may be
-    limited by the width, and the report carries no optimality residuals
-    (None), so the result is not certified.
+    The fit runs at the fixed width opts.k, capped as in fit_auto_rank at
+    min(columns of the factored design, Hn): with joint_nuclear the design
+    is [P, aux], otherwise P.  There is no rank escalation, so a returned
+    rank equal to that width may be limited by it, and the report carries
+    no optimality residuals (None), so the result is not certified.
     """
     opts = opts or FitOptions()
     aux = np.asarray(aux, dtype=float)
@@ -276,6 +277,7 @@ def aux_joint_fit(
     # stacked: aux columns join P inside the factorization; ridge: aux is the R block
     P = np.hstack([data.P, aux]) if joint_nuclear and p else data.P
     R = None if joint_nuclear else aux
+    opts = replace(opts, k=min(opts.k, P.shape[1], data.F.shape[1]))
     U, V, trace, iters, sweeps, converged, Phi = _fit_arrays(
         P, data.F, data.n, lam, kappa, loss, W, opts, R
     )

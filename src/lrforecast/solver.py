@@ -474,11 +474,7 @@ def lambda_max(
     P: np.ndarray,
     F: np.ndarray,
     loss: Loss = Loss(),
-    kappa: float = 0.0,
     W: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iters: int = 50000,
-    seed: int = 0,
 ) -> float:
     """Smallest nuclear-norm weight at which theta = 0 is optimal.
 
@@ -486,19 +482,18 @@ def lambda_max(
     by power iteration through matrix-vector products with P (the Mn x Hn
     gradient matrix is never formed).  The consistency term contributes
     nothing: the zero forecast matrix is block Hankel, so the distance
-    gradient vanishes at 0 for any kappa.  For the squared l2 loss this
-    is (2/N) ||P^T F||_2.
+    gradient vanishes at 0 for any kappa, so the bound takes no kappa.
+    For the squared l2 loss this is (2/N) ||P^T F||_2.
     """
     if not loss.differentiable:
         raise ValueError("lambda_max requires a differentiable loss (l1 is not supported)")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    tol, max_iters = 1e-12, 50000
     P = np.asarray(P, dtype=float)
     F = np.asarray(F, dtype=float)
     G0 = loss_grad(np.zeros_like(F), F, loss, W)
     if not G0.any():
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.normal(size=F.shape[1])
     v /= np.linalg.norm(v)
     sigma2 = 0.0
@@ -581,9 +576,12 @@ def svt_reference_solve(
     Iterates gradient steps on the smooth part (loss plus consistency)
     followed by singular value soft-thresholding at step * lam, with a
     backtracking step size, Nesterov momentum, and a monotone restart.
-    Stops when the relative objective change stays below tol.  This path
-    shares no machinery with the factored solver, so agreement between
-    the two certifies both.
+    Stops when the relative objective change stays below tol.  It shares
+    one piece with the factored solver: the smooth term and its gradient
+    come from _forecast_value_grad, the evaluator the L-BFGS closures also
+    call, and acceptance check C1 tests that evaluator's gradient against
+    central differences on its own.  Iterates, step rule and stopping rule
+    are separate, so agreement between the two paths certifies the rest.
     """
     if lam < 0 or kappa < 0:
         raise ValueError("lam and kappa must be nonnegative")

@@ -50,6 +50,7 @@ from lrforecast import (
     sweep,
 )
 from lrforecast.cli import main as cli_main
+from lrforecast.solver import _forecast_value_grad
 
 
 _CAPTURE: list[pytest.CaptureFixture] = []
@@ -123,8 +124,10 @@ def test_c1_gradients_match_finite_differences():
         worst_loss = max(worst_loss, _rel(gfd, g))
 
     # factored objective: gradients in U and V of loss + consistency + nuclear
-    # surrogate, assembled from the public pieces by the chain rule
+    # surrogate, assembled from the public pieces by the chain rule; and the
+    # smooth-term evaluator that the factored and reference solvers share
     worst_fact = 0.0
+    worst_eval = 0.0
     for i in range(54):
         rng = np.random.default_rng(2000 + i)
         n = int(rng.integers(1, 4))
@@ -159,6 +162,9 @@ def test_c1_gradients_match_finite_differences():
         gU = P.T @ G @ V.T + lam * U
         gV = (P @ U).T @ G + lam * V
         worst_fact = max(worst_fact, _rel(_fd(value, U), gU), _rel(_fd(value, V), gV))
+        _, g_eval = _forecast_value_grad(Fhat, F, n, loss, W, kap)
+        gfd = _fd(lambda: _forecast_value_grad(Fhat, F, n, loss, W, kap)[0], Fhat)
+        worst_eval = max(worst_eval, _rel(gfd, g_eval))
 
     # consistency penalty gradient on its own
     worst_incon = 0.0
@@ -173,11 +179,12 @@ def test_c1_gradients_match_finite_differences():
         worst_incon = max(worst_incon, _rel(gfd, g))
 
     elapsed = time.perf_counter() - t0
-    ok = max(worst_loss, worst_fact, worst_incon) <= 1e-5 and elapsed < 30
+    ok = max(worst_loss, worst_fact, worst_eval, worst_incon) <= 1e-5 and elapsed < 30
     _verdict(1, "analytic gradients match central finite differences (rel err <= 1e-5)", ok)
     assert ok, (
         f"worst rel err: loss part {worst_loss:.2e}, factored {worst_fact:.2e}, "
-        f"inconsistency {worst_incon:.2e}; elapsed {elapsed:.1f}s (budget 30s)"
+        f"smooth evaluator {worst_eval:.2e}, inconsistency {worst_incon:.2e}; "
+        f"elapsed {elapsed:.1f}s (budget 30s)"
     )
 
 

@@ -197,6 +197,29 @@ def test_warm_start_resumes_from_stored_model(sim, fitted, tmp_path):
     assert warm["final_objective"] <= cold["final_objective"] * (1 + 1e-9)
 
 
+def test_warm_start_widens_when_rank_reaches_k(tmp_path):
+    assert run(
+        "simulate", "--out-dir", tmp_path, "--n", 3, "--rank", 1,
+        "--T-train", 200, "--seed", 0,
+    ) == 0
+    fit = ("fit", "--train", tmp_path / "train.csv", "--M", 4, "--H", 3)
+    start = tmp_path / "start.json"
+    assert run(*fit, "--alpha", 0.2, "--model-out", start,
+               "--report-out", tmp_path / "start-report.json") == 0
+    reports = {}
+    for tag, extra in (("cold", ()), ("warm", ("--warm-start", start))):
+        reports[tag] = tmp_path / f"{tag}-report.json"
+        assert run(*fit, "--alpha", 0.001, "--k", 2, *extra,
+                   "--model-out", tmp_path / f"{tag}.json",
+                   "--report-out", reports[tag]) == 0
+    cold = load_json(str(reports["cold"]))
+    warm = load_json(str(reports["warm"]))
+    # the warm fit reaches rank k=2 and widens like a cold fit would
+    assert warm["k_schedule"][:2] == [2, 4]
+    assert warm["rank"] > 2
+    assert warm["final_objective"] <= cold["final_objective"] * (1 + 1e-9)
+
+
 def test_warm_start_shape_mismatch(sim, fitted, tmp_path, capsys):
     assert run(
         "fit", "--train", sim / "train.csv", "--M", 5, "--H", 3,
@@ -374,6 +397,32 @@ def test_fit_aux_ridge_path(small, tmp_path):
     assert load_model_json(str(tmp_path / "m.json")).phi is not None
 
 
+@pytest.mark.parametrize("joint", [True, False])
+def test_aux_fit_caps_default_width(sim, tmp_path, joint):
+    # the default k=20 exceeds min(Mn + p, Hn) = min(14, 9); the width is capped
+    report = tmp_path / "r.json"
+    flags = [] if joint else ["--no-joint-nuclear"]
+    assert run(
+        "fit", "--train", sim / "train.csv", "--M", 4, "--H", 3,
+        "--alpha", 0.3, "--seed", 0, "--periods", "24", "--max-outer", 20, *flags,
+        "--model-out", tmp_path / "m.json", "--report-out", report,
+    ) == 0
+    assert load_json(str(report))["k_schedule"] == [9]
+
+
+def test_warm_start_with_feature_flags_is_rejected(sim, tmp_path, capsys):
+    model_out = tmp_path / "m.json"
+    assert run(
+        "fit", "--train", sim / "train.csv", "--M", 4, "--H", 3,
+        "--alpha", 0.3, "--k", 2, "--periods", "24",
+        "--warm-start", tmp_path / "does_not_exist.json",
+        "--model-out", model_out, "--report-out", tmp_path / "r.json",
+    ) == 2
+    # rejected before any file is read, so the missing model is not the reason
+    assert "--warm-start cannot be combined with feature flags" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
 def test_latent_command(sim, fitted, tmp_path):
     out = tmp_path / "latent.csv"
     ar = tmp_path / "ar.json"
@@ -473,25 +522,61 @@ def test_config_conflicts_and_unknown_options(small, tmp_path, capsys):
     ) == 2
     assert "exactly one of --alpha and --lambda" in capsys.readouterr().err
 
+    # a misspelled key at any level is named, not silently ignored; warm starts
+    # come from --warm-start, not from raw factors in the config
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        '{"train": "%s", "M": 3, "H": 2, "alpha": 0.4, "solver": {"memory": 3}}' % train
-    )
-    assert run(
-        "fit", "--config", bad,
-        "--model-out", tmp_path / "m.json", "--report-out", tmp_path / "r.json",
-    ) == 2
-    assert "unknown solver options: memory" in capsys.readouterr().err
+    model_out = tmp_path / "m.json"
+    for extra, message in [
+        ({"solver": {"memory": 3}}, "unknown solver options: memory"),
+        ({"solver": {"init": [[1.0]]}}, "unknown solver options: init"),
+        ({"alhpa": 9}, "unknown config options: alhpa"),
+        ({"features": {"period": [24]}}, "unknown features options: period"),
+        ({"weights": {"h_t": 5, "htau": 5}}, "unknown weights options: htau"),
+        ({"loss": {"kind": "huber", "dleta": 0.3}}, "unknown loss options: dleta"),
+    ]:
+        dump_json(str(bad), {"train": train, "M": 3, "H": 2, "alpha": 0.4, **extra})
+        assert run(
+            "fit", "--config", bad, "--model-out", model_out,
+            "--report-out", tmp_path / "r.json",
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not model_out.exists()
 
-    # warm starts come from --warm-start, not from raw factors in the config
-    bad.write_text(
-        '{"train": "%s", "M": 3, "H": 2, "alpha": 0.4, "solver": {"init": [[1.0]]}}' % train
-    )
-    assert run(
-        "fit", "--config", bad,
-        "--model-out", tmp_path / "m.json", "--report-out", tmp_path / "r.json",
-    ) == 2
-    assert "unknown solver options: init" in capsys.readouterr().err
+
+def test_one_config_serves_fit_and_sweep(small, tmp_path):
+    cfg = tmp_path / "c.json"
+    dump_json(str(cfg), {
+        "train": str(small / "train.csv"), "test": str(small / "test.csv"),
+        "M": 3, "H": 2, "alpha": 0.3, "alphas": [0.5, 0.3], "kappas": [0.0],
+        "jobs": 1, "out": str(tmp_path / "sweep.csv"),
+        "model_out": str(tmp_path / "m.json"), "report_out": str(tmp_path / "r.json"),
+        "features": {"periods": [12]}, "weights": {"h_t": 4.0, "h_tau": 20.0},
+        "solver": {"k": 2, "seed": 0},
+    })
+    assert run("fit", "--config", cfg) == 0
+    assert load_model_json(str(tmp_path / "m.json")).phi is not None
+    assert run("sweep", "--config", cfg) == 0
+    assert [r["alpha"] for r in read_sweep_csv(str(tmp_path / "sweep.csv"))] == [0.5, 0.3]
+
+
+def test_config_seed_precedence(small, tmp_path):
+    train = str(small / "train.csv")
+
+    def model_bytes(tag, doc, *flags):
+        cfg = tmp_path / f"{tag}.json"
+        dump_json(str(cfg), {"train": train, "M": 3, "H": 2, "alpha": 0.1,
+                             "solver": {"k": 3, "max_outer": 2}, **doc})
+        model = tmp_path / f"{tag}-model.json"
+        assert run("fit", "--config", cfg, *flags, "--model-out", model,
+                   "--report-out", tmp_path / f"{tag}-report.json") == 0
+        return model.read_bytes()
+
+    by_seed = {s: model_bytes(f"seed{s}", {}, "--seed", s) for s in (1, 2, 3)}
+    assert len(set(by_seed.values())) == 3  # the seed shows in the model
+    both = {"seed": 1, "solver": {"k": 3, "max_outer": 2, "seed": 2}}
+    assert model_bytes("top", {"seed": 1}) == by_seed[1]
+    assert model_bytes("solver", both) == by_seed[2]
+    assert model_bytes("flag", both, "--seed", 3) == by_seed[3]
 
 
 def test_sweep_command(small, tmp_path):
