@@ -71,11 +71,12 @@ CONFIG_KEYS = {
 SOLVER_KEYS = tuple(CONFIG_KEYS["solver"].values())
 
 
-def _merge_config(args, doc, table=CONFIG_KEYS, group="config") -> None:
+def _merge_config(args, doc, flags, table=CONFIG_KEYS, group="config") -> None:
     """Fills every setting whose flag was not given from the config document.
 
     Keys outside the table are rejected at every level.  A known key whose
     flag the command lacks is ignored, so one file serves fit and sweep.
+    flags maps each flag dest of the command to the action that checks it.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{group} must be a JSON object")
@@ -89,9 +90,29 @@ def _merge_config(args, doc, table=CONFIG_KEYS, group="config") -> None:
         if isinstance(dest, dict):
             if key == "loss" and isinstance(val, str):
                 val = {"kind": val}
-            _merge_config(args, val, dest, key)
-        elif hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, val)
+            _merge_config(args, val, flags, dest, key)
+        elif dest in flags and getattr(args, dest) is None:
+            setattr(args, dest, _flag_value(flags[dest], f"{group} option {key}", val))
+
+
+def _flag_value(action: argparse.Action, name: str, val):
+    """A config value as its flag would parse it, or a ValueError naming it.
+
+    A switch takes a boolean; other values pass the flag's type and choices
+    as flag text (a list comma-joined, accepted where the flag parses one).
+    """
+    out, ok = val, isinstance(val, bool)
+    if action.nargs != 0:  # not a switch
+        text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+        try:
+            out = text if action.type is None else action.type(text)
+            ok = isinstance(out, list) == isinstance(val, list)
+            ok = ok and (action.choices is None or out in action.choices)
+        except (ValueError, argparse.ArgumentTypeError):
+            ok = False
+    if not ok:
+        raise ValueError(f"{name}: invalid value {val!r}")
+    return out
 
 
 def _comma_floats(s: str) -> list[float]:
@@ -105,7 +126,7 @@ def _loss_from(args) -> Loss:
     kind = SQUARED_L2 if args.loss is None else args.loss
     if kind != HUBER:
         return Loss(kind=kind)
-    return Loss(kind=HUBER, delta=1.0 if args.delta is None else float(args.delta))
+    return Loss(kind=HUBER, delta=1.0 if args.delta is None else args.delta)
 
 
 def _opts_from(args) -> FitOptions:
@@ -132,7 +153,7 @@ def _weights_from(args, N, M, H, T, n):
     w_col = np.ones(n) if w_col is None else np.asarray(w_col, dtype=float)
     if w_col.shape != (n,):
         raise ValueError(f"--weight-col needs {n} entries, got {w_col.shape[0]}")
-    return build_weights(float(h_t), float(h_tau), w_col, N, M, H, T)
+    return build_weights(h_t, h_tau, w_col, N, M, H, T)
 
 
 # ----------------------------------------------------------------- commands
@@ -174,12 +195,12 @@ def cmd_fit(args) -> int:
         raise ValueError("a training CSV is required (--train)")
     if args.M is None or args.H is None:
         raise ValueError("--M and --H are required")
-    M, H = int(args.M), int(args.H)
+    M, H = args.M, args.H
     loss = _loss_from(args)
     alpha, lam = args.alpha, args.lam
     if (alpha is None) == (lam is None):
         raise ValueError("exactly one of --alpha and --lambda must be given")
-    kappa = float(0.0 if args.kappa is None else args.kappa)
+    kappa = 0.0 if args.kappa is None else args.kappa
     opts = _opts_from(args)
     spec = _features_from(args)
     if spec is not None and args.warm_start:
@@ -192,16 +213,14 @@ def cmd_fit(args) -> int:
     data = build_windows(centered, M, H)
     W = _weights_from(args, data.N, M, H, series.T, series.n)
     if alpha is not None:
-        lam = float(alpha) * lambda_max(data.P, data.F, loss, W=W)
-    else:
-        lam = float(lam)
+        lam = alpha * lambda_max(data.P, data.F, loss, W=W)
     trend = trend_from_json(load_json(args.trend)) if args.trend else None
     if trend is not None and trend.features is None:  # evaluate/forecast re-apply it
         raise ValueError("--trend needs a trend fitted on features, not on --aux rows")
     phi = None
     if spec is not None:
         aux = time_features(origin_times(series, M, data.N), spec)
-        joint = args.joint_nuclear is None or bool(args.joint_nuclear)
+        joint = args.joint_nuclear is None or args.joint_nuclear
         model, phi, report = aux_joint_fit(
             data, aux, lam, kappa, loss, W, opts, joint_nuclear=joint, means=means
         )
@@ -224,7 +243,7 @@ def cmd_fit(args) -> int:
     res = evaluate(ModelBundle(model, phi=phi, aux_features=spec), series, loss)
     report_doc = {
         "lambda": lam,
-        "alpha": None if alpha is None else float(alpha),
+        "alpha": alpha,
         "kappa": kappa,
         "loss": loss.to_json(),
         "rank": model.rank,
@@ -308,12 +327,12 @@ def cmd_sweep(args) -> int:
     kappas = [0.0] if args.kappas is None else args.kappas
     loss = _loss_from(args)
     opts = _opts_from(args)
-    jobs = int(1 if args.jobs is None else args.jobs)
+    jobs = 1 if args.jobs is None else args.jobs
     out = args.out or "sweep.csv"
     train = read_series_csv(args.train)
     test = read_series_csv(args.test)
     table = sweep(
-        train, test, args.alphas, kappas, int(args.M), int(args.H), loss, opts, jobs=jobs
+        train, test, args.alphas, kappas, args.M, args.H, loss, opts, jobs=jobs
     )
     write_sweep_csv(out, table.rows)
     best = table.best()
@@ -493,10 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _merge_config(args, load_json(args.config))
+            (commands,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+            flags = {a.dest: a for a in commands.choices[args.command]._actions}
+            _merge_config(args, load_json(args.config), flags)
         return args.func(args)
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -17,7 +17,6 @@ usable for interpretation or simulation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .baselines import _chol_solve, _spd_cholesky
 from .core import TimeSeries, WindowedDataset, center
 from .objective import Loss
-from .solver import FitOptions, FitReport, LowRankForecaster, _fit_arrays, reduce_rank
+from .solver import FitOptions, FitReport, LowRankForecaster, _fit_design
 
 
 @dataclass(frozen=True)
@@ -261,45 +260,18 @@ def aux_joint_fit(
     with V in each sweep.  With zero aux columns both paths reduce to the
     plain factored fit.
 
-    The fit runs at the fixed width opts.k, capped as in fit_auto_rank at
+    The fit stays at one width, opts.k capped as in fit_auto_rank at
     min(columns of the factored design, Hn): with joint_nuclear the design
     is [P, aux], otherwise P.  There is no rank escalation, so a returned
-    rank equal to that width may be limited by it, and the report carries
-    no optimality residuals (None), so the result is not certified.
+    rank equal to that width may be limited by it; r1 > 0 in the report's
+    optimality residuals, taken on the whole design, shows a binding width.
     """
     opts = opts or FitOptions()
     aux = np.asarray(aux, dtype=float)
     if aux.ndim != 2 or aux.shape[0] != data.N:
         raise ValueError(f"aux must be N x p with N={data.N}, got {aux.shape}")
-    p = aux.shape[1]
-    mn = data.P.shape[1]
-    t0 = time.perf_counter()
     # stacked: aux columns join P inside the factorization; ridge: aux is the R block
-    P = np.hstack([data.P, aux]) if joint_nuclear and p else data.P
+    P = np.hstack([data.P, aux]) if joint_nuclear and aux.shape[1] else data.P
     R = None if joint_nuclear else aux
     opts = replace(opts, k=min(opts.k, P.shape[1], data.F.shape[1]))
-    U, V, trace, iters, sweeps, converged, Phi = _fit_arrays(
-        P, data.F, data.n, lam, kappa, loss, W, opts, R
-    )
-    Ur, Vr, (_, sigma, _) = reduce_rank(U, V)
-    if joint_nuclear and p:
-        # sigma belongs to the stacked [theta; Phi]; re-reduce theta's rows alone
-        Phi = Ur[mn:] @ Vr
-        Ur, Vr, (_, sigma, _) = reduce_rank(Ur[:mn], Vr)
-    model = LowRankForecaster(
-        U=Ur, V=Vr, singular_values=sigma, n=data.n, M=data.M, H=data.H,
-        lam=lam, kappa=kappa, loss=loss,
-        means=np.zeros(data.n) if means is None else means,
-    )
-    report = FitReport(
-        objective_trace=trace,
-        final_objective=trace[-1],
-        rank=model.rank,
-        optimality_residuals=None,
-        iterations=iters,
-        sweeps=sweeps,
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-        k_schedule=[opts.k],
-    )
-    return model, Phi, report
+    return _fit_design(P, data, lam, kappa, loss, W, opts, means, R)

@@ -21,6 +21,7 @@ soft-thresholding on the dense matrix) is included for certification.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -69,6 +70,8 @@ class FitReport:
 
     From fit_auto_rank, iterations, sweeps and wall_time total every width
     in k_schedule; the other fields are those of the last width's fit.
+    optimality_residuals (None for l1) is taken on the fitted design, see
+    optimality_residuals: [P, aux] for a joint aux fit, Phi's term for ridge.
     """
 
     objective_trace: list[float]
@@ -293,11 +296,7 @@ def _fit_arrays(
         # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2,
         # and the alternation only crawls toward it; exit with the certified answer.
         # A ridge block has no such threshold, so it always alternates.
-        try:
-            lmax = lambda_max(P, F, loss, W=W)
-        except NumericalError:
-            lmax = np.inf
-        if lam >= lmax:
+        if lam >= lambda_max(P, F, loss, W=W):
             val = loss_value(np.zeros_like(F), F, loss, W)
             U, V, Phi = np.zeros((mcols, k)), np.zeros((k, hcols)), np.zeros((0, hcols))
             return U, V, [val], 0, 0, True, Phi
@@ -370,6 +369,45 @@ def _fit_arrays(
     return U, B[:k], trace, total_iters, sweeps, converged, B[k:]
 
 
+def _fit_design(
+    P: np.ndarray, data: WindowedDataset, lam: float, kappa: float, loss: Loss,
+    W: np.ndarray | None, opts: FitOptions, means: np.ndarray | None,
+    R: np.ndarray | None = None,
+) -> tuple[LowRankForecaster, np.ndarray, FitReport]:
+    """Fits the design P to data.F; returns (model, Phi, report) of every fit.
+
+    P is data.P, or data.P with aux columns appended inside the factorization:
+    the stacked [theta; Phi] is then split, theta's rows re-reduced as the
+    model.  R is _fit_arrays' ridge block; Phi is (0, Hn) without aux.
+    """
+    t0 = time.perf_counter()
+    U, V, trace, iters, sweeps, converged, Phi = _fit_arrays(
+        P, data.F, data.n, lam, kappa, loss, W, opts, R
+    )
+    Ur, Vr, (U_theta, sigma, V_theta) = reduce_rank(U, V)
+    residuals = None
+    if loss.differentiable:
+        residuals = _residuals_from_svd(
+            U_theta, sigma, V_theta, P, data.F, data.n, lam, kappa, loss, W, R, Phi
+        )
+    mn = data.P.shape[1]
+    if P.shape[1] > mn:
+        # sigma belongs to the stacked [theta; Phi]; re-reduce theta's rows alone
+        Phi = Ur[mn:] @ Vr
+        Ur, Vr, (_, sigma, _) = reduce_rank(Ur[:mn], Vr)
+    model = LowRankForecaster(
+        U=Ur, V=Vr, singular_values=sigma, n=data.n, M=data.M, H=data.H,
+        lam=lam, kappa=kappa, loss=loss,
+        means=np.zeros(data.n) if means is None else means,
+    )
+    report = FitReport(
+        objective_trace=trace, final_objective=trace[-1], rank=model.rank,
+        optimality_residuals=residuals, iterations=iters, sweeps=sweeps,
+        converged=converged, wall_time=time.perf_counter() - t0, k_schedule=[opts.k],
+    )
+    return model, Phi, report
+
+
 def fit_factored(
     data: WindowedDataset,
     lam: float,
@@ -386,42 +424,7 @@ def fit_factored(
     every half sweep and never increases.  The returned model carries the
     reduced, balanced factors.  Deterministic given opts.seed.
     """
-    opts = opts or FitOptions()
-    t0 = time.perf_counter()
-    U, V, trace, iters, sweeps, converged, _ = _fit_arrays(
-        data.P, data.F, data.n, lam, kappa, loss, W, opts
-    )
-    Ur, Vr, (U_theta, sigma, V_theta) = reduce_rank(U, V)
-    residuals = None
-    if loss.differentiable:
-        residuals = _residuals_from_svd(
-            U_theta, sigma, V_theta, data, lam, kappa, loss, W
-        )
-    if means is None:
-        means = np.zeros(data.n)
-    model = LowRankForecaster(
-        U=Ur,
-        V=Vr,
-        singular_values=sigma,
-        n=data.n,
-        M=data.M,
-        H=data.H,
-        lam=lam,
-        kappa=kappa,
-        loss=loss,
-        means=means,
-    )
-    report = FitReport(
-        objective_trace=trace,
-        final_objective=trace[-1],
-        rank=model.rank,
-        optimality_residuals=residuals,
-        iterations=iters,
-        sweeps=sweeps,
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-        k_schedule=[opts.k],
-    )
+    model, _, report = _fit_design(data.P, data, lam, kappa, loss, W, opts or FitOptions(), means)
     return model, report
 
 
@@ -480,9 +483,10 @@ def lambda_max(
 
     Equals the spectral norm of the smooth gradient at theta = 0, found
     by power iteration through matrix-vector products with P (the Mn x Hn
-    gradient matrix is never formed).  The consistency term contributes
-    nothing: the zero forecast matrix is block Hankel, so the distance
-    gradient vanishes at 0 for any kappa, so the bound takes no kappa.
+    gradient matrix is never formed), or densely if near-tied top singular
+    values stall it.  The consistency term contributes nothing: the zero
+    forecast matrix is block Hankel, so the distance gradient vanishes at
+    0 for any kappa, so the bound takes no kappa.
     For the squared l2 loss this is (2/N) ||P^T F||_2.
     """
     if not loss.differentiable:
@@ -496,8 +500,6 @@ def lambda_max(
     rng = np.random.default_rng(0)
     v = rng.normal(size=F.shape[1])
     v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    residual = np.inf
     for _ in range(max_iters):
         w = G0.T @ (P @ (P.T @ (G0 @ v)))  # (G^T G) v
         sigma2 = float(v @ w)
@@ -508,27 +510,25 @@ def lambda_max(
         v = w / nw
         if residual <= tol * max(sigma2, 1e-300):
             return float(np.sqrt(sigma2))
-    raise NumericalError(
-        f"power iteration did not converge in {max_iters} iterations "
-        f"(residual {residual:.3e}, tolerance {tol * sigma2:.3e})"
-    )
+    # near-tied top singular values stall the iteration; take the dense norm
+    return _spectral_norm(P.T @ G0)
 
 
 def _residuals_from_svd(
-    U_theta: np.ndarray,
-    sigma: np.ndarray,
-    V_theta: np.ndarray,
-    data: WindowedDataset,
-    lam: float,
-    kappa: float,
-    loss: Loss,
-    W: np.ndarray | None,
+    U_theta: np.ndarray, sigma: np.ndarray, V_theta: np.ndarray,
+    P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
+    W: np.ndarray | None, R: np.ndarray | None = None, Phi: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
-    Fhat = ((data.P @ U_theta) * sigma[None, :]) @ V_theta.T
-    _, Gf = _forecast_value_grad(Fhat, data.F, data.n, loss, W, kappa)
-    G = data.P.T @ Gf
+    # with a ridge block the forecast adds R Phi, and Phi's condition joins r2
+    Fhat = ((P @ U_theta) * sigma[None, :]) @ V_theta.T
+    if R is not None:
+        Fhat = Fhat + R @ Phi
+    _, Gf = _forecast_value_grad(Fhat, F, n, loss, W, kappa)
+    G = P.T @ Gf
     r1 = max(0.0, _spectral_norm(G + lam * (U_theta @ V_theta.T)) - lam)
     r2 = float(np.linalg.norm(U_theta.T @ G + lam * V_theta.T))
+    if R is not None:
+        r2 = math.hypot(r2, float(np.linalg.norm(R.T @ Gf + lam * Phi)))
     r3 = float(np.linalg.norm(G @ V_theta + lam * U_theta))
     return (r1, r2, r3)
 
@@ -553,13 +553,18 @@ def optimality_residuals(
         r2 = ||Ut^T G + lam Vt^T||_F               (left stationarity)
         r3 = ||G Vt + lam Ut||_F                   (right stationarity)
 
-    all zero at an exact solution.  Diagnostics only; never used as a
-    stopping rule.
+    all zero at an exact solution.  A ridge aux fit's report (forecast
+    P theta + R Phi, Phi solved in the V block) has r2 = hypot(r2,
+    ||R^T Gf + lam Phi||_F), Gf the forecast gradient.  Every kept
+    singular value counts as support, so a theta that only decays toward
+    0 reads as uncertified.  Diagnostics only; never a stopping rule.
     """
     if not loss.differentiable:
         raise ValueError("optimality residuals require a differentiable loss")
     _, _, (U_theta, sigma, V_theta) = reduce_rank(U, V)
-    return _residuals_from_svd(U_theta, sigma, V_theta, data, lam, kappa, loss, W)
+    return _residuals_from_svd(
+        U_theta, sigma, V_theta, data.P, data.F, data.n, lam, kappa, loss, W
+    )
 
 
 def svt_reference_solve(

@@ -407,7 +407,10 @@ def test_aux_fit_caps_default_width(sim, tmp_path, joint):
         "--alpha", 0.3, "--seed", 0, "--periods", "24", "--max-outer", 20, *flags,
         "--model-out", tmp_path / "m.json", "--report-out", report,
     ) == 0
-    assert load_json(str(report))["k_schedule"] == [9]
+    doc = load_json(str(report))
+    assert doc["k_schedule"] == [9]
+    # feature fits carry the certificate of their design, as plain fits do
+    assert len(doc["optimality_residuals"]) == 3
 
 
 def test_warm_start_with_feature_flags_is_rejected(sim, tmp_path, capsys):
@@ -533,6 +536,9 @@ def test_config_conflicts_and_unknown_options(small, tmp_path, capsys):
         ({"features": {"period": [24]}}, "unknown features options: period"),
         ({"weights": {"h_t": 5, "htau": 5}}, "unknown weights options: htau"),
         ({"loss": {"kind": "huber", "dleta": 0.3}}, "unknown loss options: dleta"),
+        # values pass their flag's own type: k is an int, periods a list
+        ({"solver": {"k": 2.5}}, "solver option k: invalid value 2.5"),
+        ({"features": {"periods": 24}}, "features option periods: invalid value 24"),
     ]:
         dump_json(str(bad), {"train": train, "M": 3, "H": 2, "alpha": 0.4, **extra})
         assert run(

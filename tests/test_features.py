@@ -24,12 +24,16 @@ from lrforecast import (
     gen_model,
     lambda_max,
     latent_ar_fit,
+    main_objective,
+    reduce_rank,
     retrend,
     sample,
+    svt_reference_solve,
     time_features,
     SimSpec,
 )
 from lrforecast.core import WindowedDataset
+from lrforecast.solver import _residuals_from_svd
 
 
 def hourly_weekly_spec():
@@ -378,3 +382,51 @@ def test_joint_fit_validation(rng):
     bad_init = (np.zeros((3, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="warm start"):
         aux_joint_fit(data, aux, 0.1, joint_nuclear=False, opts=FitOptions(k=2, init=bad_init))
+
+
+# sweep until the objective stops falling, so a wide enough fit is optimal
+CERTIFIED = dict(obj_tol=0.0, max_outer=2000)
+
+
+@pytest.mark.parametrize("joint", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_aux_fit_reports_its_certificate(seed, joint):
+    # both paths are certified on their whole design: at k=4 every residual
+    # vanishes, and at k=1 the width binds and r1 says so
+    data, aux = rand_joint_instance(np.random.default_rng(seed))
+    lam = 0.05 * lambda_max(np.hstack([data.P, aux]), data.F)
+
+    def fit(k):
+        opts = FitOptions(k=k, **CERTIFIED)
+        return aux_joint_fit(data, aux, lam, opts=opts, joint_nuclear=joint)
+
+    model, Phi, rep = fit(4)
+    assert max(rep.optimality_residuals) <= 1e-4 * lam
+    assert fit(1)[2].optimality_residuals[0] >= lam
+    if joint:
+        # with p = n, [P, aux] is itself a window matrix of M + 1 past rows,
+        # so the reference solver checks the stacked [theta; Phi] directly
+        stacked = WindowedDataset(
+            P=np.hstack([data.P, aux]), F=data.F, n=data.n, M=data.M + 1, H=data.H
+        )
+        ref = main_objective(svt_reference_solve(stacked, lam), stacked, lam)
+        got = main_objective(np.vstack([model.theta(), Phi]), stacked, lam)
+        assert abs(got - ref) <= 1e-6 * abs(ref)
+
+
+def test_ridge_certificate_checks_phi():
+    # aux orthogonal to P's columns: P^T grad cannot see a change in Phi, so
+    # only Phi's own condition in r2 flags a Phi scaled off its optimum
+    data, raw = rand_joint_instance(np.random.default_rng(0))
+    aux = raw - data.P @ np.linalg.lstsq(data.P, raw, rcond=None)[0]
+    lam = 0.05 * lambda_max(np.hstack([data.P, aux]), data.F)
+    model, Phi, rep = aux_joint_fit(
+        data, aux, lam, opts=FitOptions(k=4, **CERTIFIED), joint_nuclear=False
+    )
+    assert max(rep.optimality_residuals) <= 1e-4 * lam
+    _, _, (U_theta, sigma, V_theta) = reduce_rank(model.U, model.V)
+    off = _residuals_from_svd(
+        U_theta, sigma, V_theta, data.P, data.F, data.n, lam, 0.0, Loss(), None,
+        aux, 1.1 * Phi,
+    )
+    assert max(off) >= 0.1 * lam

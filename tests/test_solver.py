@@ -20,6 +20,7 @@ from lrforecast import (
     reduce_rank,
     svt_reference_solve,
 )
+from lrforecast.core import WindowedDataset
 from lrforecast.solver import _factored_objective, _fit_arrays
 
 
@@ -311,6 +312,22 @@ def test_lambda_max_edge_cases(rng):
     with pytest.raises(ValueError):
         lambda_max(data.P, data.F, Loss(kind=L1))
     assert lambda_max(data.P, np.zeros_like(data.F)) == 0.0
+
+
+def test_lambda_max_near_tied_top_singular_values(rng):
+    # the top two singular values of P^T F differ by 1e-6, too close for the
+    # power iteration; lambda_max falls back to the dense norm, and a fit at
+    # exactly that lambda takes the zero exit
+    Q = np.linalg.qr(rng.normal(size=(30, 6)))[0]
+    A = np.linalg.qr(rng.normal(size=(6, 4)))[0]
+    B = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    D = (A * np.array([1.0, 1.0 - 1e-6, 0.5, 0.1])) @ B.T
+    data = WindowedDataset(P=Q, F=Q @ D, n=2, M=3, H=2)
+    lmax = lambda_max(data.P, data.F)
+    assert np.isclose(lmax, 2.0 / 30.0, rtol=1e-12, atol=0.0)
+    model, report = fit_factored(data, lmax, opts=FitOptions(k=3))
+    assert model.rank == 0
+    assert report.sweeps == 0 and report.converged
 
 
 def test_zero_is_returned_exactly_at_and_above_lambda_max(rng):
