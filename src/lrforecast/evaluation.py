@@ -71,7 +71,9 @@ def evaluate(model, series: TimeSeries | np.ndarray, loss: Loss = Loss()) -> Eva
     centered = bundle.center(series)
     data = build_windows(centered, bundle.model.M, bundle.model.H)
     Fhat = bundle.forecast(data.P, origin_times(centered, data.M, data.N))
-    return evaluate_forecasts(Fhat, data.F, data.n, loss)
+    F, n = data.F, data.n
+    del data  # the past windows are not needed for scoring; free them first
+    return evaluate_forecasts(Fhat, F, n, loss)
 
 
 @dataclass

@@ -115,6 +115,9 @@ def loss_value(
     if W is not None:
         R = _check_weights(W, R.shape) * R
     N = R.shape[0]
+    if loss.kind == SQUARED_L2:
+        # R is this call's own array, so it is squared in place: same values, no copy
+        return float(np.multiply(R, R, out=R).sum() / N)
     return float(_elementwise_penalty(R, loss).sum() / N)
 
 
@@ -178,8 +181,10 @@ def inconsistency(Z: np.ndarray, n: int) -> float:
     agree, i.e. when Z is block Hankel.
     """
     Z = np.asarray(Z, dtype=float)
-    D = Z - hankel_project(Z, n)
-    return float((D * D).sum())
+    # Z - project(Z) and its square are formed in the projection's fresh output
+    D = hankel_project(Z, n)
+    np.subtract(Z, D, out=D)
+    return float(np.multiply(D, D, out=D).sum())
 
 
 def inconsistency_grad(Z: np.ndarray, n: int) -> np.ndarray:

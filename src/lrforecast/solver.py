@@ -10,10 +10,19 @@ target problem is
 
 which is convex.  The production solver works on a factorization
 theta = U V (U: Mn x k, V: k x Hn), replacing the nuclear norm with
-(lam/2) (||U||_F^2 + ||V||_F^2) and alternating limited-memory BFGS
-solves over V and U; each subproblem is convex and the variational form
-of the nuclear norm makes the factored problem agree with the convex one
-at optimum once k is at least the optimal rank.
+(lam/2) (||U||_F^2 + ||V||_F^2) and alternating solves over V and U; each
+subproblem is convex and the variational form of the nuclear norm makes
+the factored problem agree with the convex one at optimum once k is at
+least the optimal rank.
+
+Two engines run the alternation.  For squared l2 at kappa = 0 with lam > 0
+and W absent or rank one (W = a b^T), the objective sees the data only
+through Gram statistics of the design, so each half-sweep is an exact
+closed-form solve whose cost does not depend on N (softImpute-ALS on the
+variational nuclear norm), and the fit stops on the KKT certificate of
+optimality_residuals, evaluated from the same statistics.  Every other fit
+(kappa > 0, Huber, l1, a W that is not rank one) alternates limited-memory
+BFGS solves and stops when the objective stalls.
 
 An independent proximal-gradient reference solver (singular value
 soft-thresholding on the dense matrix) is included for certification.
@@ -29,7 +38,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import WindowedDataset
-from .objective import Loss, hankel_project, inconsistency, loss_grad, loss_value
+from .objective import (
+    SQUARED_L2, Loss, _check_weights, hankel_project, inconsistency, loss_grad, loss_value,
+)
+
+# a Gram-path fit is certified once max(r1, r2, r3) <= CERT_TOL * lam
+CERT_TOL = 1e-6
 
 
 class NumericalError(RuntimeError):
@@ -43,10 +57,13 @@ class FitOptions:
     k: factor width (inner dimension); must not exceed min(Mn, Hn).
     max_outer: maximum number of alternating sweeps (one sweep = solve V
         then solve U).
-    obj_tol: stop when the relative objective decrease over a sweep falls
-        below this.
+    obj_tol: an L-BFGS fit stops when the relative objective decrease over
+        a sweep falls below this.  A Gram-path fit stops on its KKT
+        certificate instead; the stall ends it only when the width binds
+        (reduced rank k < min(Mn, Hn)), as unconverged.
     grad_tol: gradient tolerance of each inner L-BFGS solve (history 10,
-        at most 500 iterations per subproblem, strong Wolfe line search).
+        at most 500 iterations per subproblem, strong Wolfe line search);
+        the Gram path's block solves are exact and do not read it.
     seed: drives the random entries of the initial factors.
     init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
         with k0 <= k.  The fit starts from these columns widened to k by
@@ -72,6 +89,13 @@ class FitReport:
     in k_schedule; the other fields are those of the last width's fit.
     optimality_residuals (None for l1) is taken on the fitted design, see
     optimality_residuals: [P, aux] for a joint aux fit, Phi's term for ridge.
+
+    On the Gram path (squared l2, kappa = 0, lam > 0, W absent or rank one)
+    converged means the KKT certificate max(r1, r2, r3) <= CERT_TOL * lam
+    held, or theta = 0 was certified without sweeps; iterations counts one
+    per closed-form block solve, two per sweep.  On the L-BFGS path
+    converged means the objective stalled below opts.obj_tol, and
+    iterations counts inner L-BFGS iterations.
     """
 
     objective_trace: list[float]
@@ -252,6 +276,140 @@ def _factored_objective(
     return val + 0.5 * lam * (float((U * U).sum()) + float((V * V).sum()))
 
 
+def _rank_one_weights(
+    W: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, b) with W = a b^T to within 1e-12 of max W, or None when W is not rank one."""
+    W = _check_weights(W, shape)
+    i, j = np.unravel_index(np.argmax(W), W.shape)
+    wmax = float(W[i, j])
+    if wmax == 0.0:
+        return None
+    a, b = W[:, j] / wmax, W[i]
+    if np.max(np.abs(W - np.outer(a, b))) > 1e-12 * wmax:
+        return None
+    return a, b
+
+
+def _gram_fit(
+    P: np.ndarray, F: np.ndarray, R: np.ndarray | None,
+    weights: tuple[np.ndarray | None, np.ndarray],
+    U: np.ndarray, V: np.ndarray, lam: float, opts: FitOptions,
+) -> tuple[np.ndarray, np.ndarray, list[float], int, int, bool, np.ndarray]:
+    """Exact alternating block solves on Gram statistics, stopped by the KKT certificate.
+
+    With W = a b^T (weights = (a, b), a None for unit rows) the loss
+    (1/N) ||D_a (P theta + R Phi - F) D_b||_F^2 sees the data only through
+    [P, R]^T D_a^2 [P, R], [P, R]^T D_a^2 F and ||D_a F D_b||_F^2, formed
+    once; the sweeps run in the eigenbasis of G = P^T D_a^2 P.  The V-step
+    solves (b_j^2 Z^T D_a^2 Z + (N lam / 2) I) x_j = b_j^2 (Z^T D_a^2 F)_j,
+    Z = [P U, R], for every column of [V; Phi] with one eigh; the U-step
+    solves the Sylvester equation G U (V D_b^2 V^T) + (N lam / 2) U =
+    (C - G_PR Phi) D_b^2 V^T with G's eigenbasis and one k x k eigh.  After
+    every sweep the certificate of optimality_residuals is taken from the
+    smooth gradient (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3 each
+    sweep, the spectral-norm r1 once those pass.  The objective stall ends
+    the fit only when the width binds, as unconverged.  Returns
+    _fit_arrays' tuple.
+    """
+    a, b = weights
+    N, mcols = P.shape
+    k, hcols = V.shape
+    X = P if R is None else np.hstack([P, R])
+    if a is not None:
+        X, F = X * a[:, None], F * a[:, None]
+    S, CX = X.T @ X, X.T @ F
+    f2, b2 = float(((F * b) ** 2).sum()), b * b
+    g, Q = np.linalg.eigh(S[:mcols, :mcols])
+    g = np.maximum(g, 0.0)
+    # in G's eigenbasis G is diag(g), and a factor U is carried as Q^T U
+    C, GPR = Q.T @ CX[:mcols], Q.T @ S[:mcols, mcols:]
+    GRR, CR = S[mcols:, mcols:], CX[mcols:]
+    p = GRR.shape[0]
+    c, tol = 0.5 * N * lam, CERT_TOL * lam
+
+    def normal(Ut):
+        # Z^T D_a^2 Z and Z^T D_a^2 F for Z = [P U, R]
+        K, Cz = Ut.T @ (g[:, None] * Ut), Ut.T @ C
+        if p:
+            KPR = Ut.T @ GPR
+            K, Cz = np.block([[K, KPR], [KPR.T, GRR]]), np.vstack([Cz, CR])
+        return K, Cz
+
+    def solve(K, Cz):
+        # every column j of (b_j^2 K + c I) B = b_j^2 Cz
+        d, Qk = np.linalg.eigh(K)
+        return Qk @ ((b2 / (b2 * np.maximum(d, 0.0)[:, None] + c)) * (Qk.T @ Cz))
+
+    def objective(K, Cz, B, Ut):
+        fit = float(((B * (K @ B - 2.0 * Cz)).sum(axis=0) * b2).sum()) + f2
+        return fit / N + 0.5 * lam * (float((Ut * Ut).sum()) + float((B * B).sum()))
+
+    if p:
+        # theta = 0 is optimal, with Phi the ridge fit Phi0, exactly when the
+        # gradient in theta there is within lam in spectral norm
+        Phi0 = solve(GRR, CR)
+        if _spectral_norm((2.0 / N) * (GPR @ Phi0 - C) * b2) <= lam:
+            obj = objective(GRR, CR, Phi0, np.zeros((0, 0)))
+            return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], 0, 0, True, Phi0
+
+    def certificate(Ut, B):
+        # max of optimality_residuals' (r1, r2, r3), in G's eigenbasis, and the rank
+        V, Phi = B[:k], B[k:]
+        _, _, (Uth, sigma, Vth) = reduce_rank(Ut, V)
+        theta = (Uth * sigma) @ Vth.T
+        Gt = g[:, None] * theta - C
+        if p:
+            Gt += GPR @ Phi
+        Gt *= (2.0 / N) * b2
+        r2 = float(np.linalg.norm(Uth.T @ Gt + lam * Vth.T))
+        if p:
+            gR = (2.0 / N) * (GPR.T @ theta + GRR @ Phi - CR) * b2
+            r2 = math.hypot(r2, float(np.linalg.norm(gR + lam * Phi)))
+        r3 = float(np.linalg.norm(Gt @ Vth + lam * Uth))
+        worst = max(r2, r3)
+        if worst <= tol:
+            worst = max(worst, _spectral_norm(Gt + lam * (Uth @ Vth.T)) - lam)
+        return worst, sigma.size
+
+    def u_step(B):
+        V, Phi = B[:k], B[k:]
+        Vb = V * b2
+        rhs = (C - GPR @ Phi if p else C) @ Vb.T
+        alpha, QA = np.linalg.eigh(Vb @ V.T)
+        return ((rhs @ QA) / (g[:, None] * np.maximum(alpha, 0.0)[None, :] + c)) @ QA.T
+
+    Ut = Q.T @ U
+    B = np.vstack([V, np.zeros((p, hcols))])
+    K, Cz = normal(Ut)
+    obj = objective(K, Cz, B, Ut)
+    if not np.isfinite(obj):
+        raise NumericalError(f"objective is not finite at the initial point ({obj})")
+    trace = [obj]
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, opts.max_outer + 1):
+        sweep_start = trace[-1]
+        B = solve(K, Cz)
+        trace.append(objective(K, Cz, B, Ut))
+        Ut = u_step(B)
+        K, Cz = normal(Ut)
+        obj = objective(K, Cz, B, Ut)
+        trace.append(obj)
+        if not np.isfinite(obj):
+            raise NumericalError(f"objective became non-finite after sweep {sweeps}")
+        worst, rank = certificate(Ut, B)
+        if worst <= tol:
+            converged = True
+            break
+        stalled = sweep_start - obj <= opts.obj_tol * max(abs(sweep_start), 1e-300)
+        if stalled and rank == k < min(mcols, hcols):
+            break
+    if sweeps:
+        U = Q @ Ut
+    return U, B[:k], trace, 2 * sweeps, sweeps, converged, B[k:]
+
+
 def _fit_arrays(
     P: np.ndarray,
     F: np.ndarray,
@@ -263,7 +421,12 @@ def _fit_arrays(
     opts: FitOptions,
     R: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, int, bool, np.ndarray]:
-    """Alternating L-BFGS on the factored objective. Returns raw factors.
+    """Alternating block solves on the factored objective. Returns raw factors.
+
+    Squared l2 at kappa = 0 with lam > 0 and W absent or rank one runs
+    _gram_fit's exact solves; every other fit alternates L-BFGS.  Both
+    share the validation, the initial factors and the zero exit above
+    lambda_max.
 
     R (N x p, optional) adds regressors outside the factorization: the
     forecast becomes P U V + R Phi, and their coefficients Phi (p x Hn)
@@ -292,10 +455,16 @@ def _fit_arrays(
             f"({mcols}, k0)/(k0, {hcols}) with k0 <= {k}"
         )
 
+    # W = a b^T (or no W) keeps squared l2 at kappa = 0 a function of Gram statistics
+    weights = None
+    if loss.kind == SQUARED_L2 and kappa == 0.0 and lam > 0:
+        weights = (None, np.ones(hcols)) if W is None else _rank_one_weights(W, F.shape)
+
     if lam > 0 and loss.differentiable and not p:
         # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2,
         # and the alternation only crawls toward it; exit with the certified answer.
-        # A ridge block has no such threshold, so it always alternates.
+        # With a ridge block the threshold is taken at the ridge fit of Phi, which
+        # only the Gram path computes (_gram_fit); L-BFGS always alternates.
         if lam >= lambda_max(P, F, loss, W=W):
             val = loss_value(np.zeros_like(F), F, loss, W)
             U, V, Phi = np.zeros((mcols, k)), np.zeros((k, hcols)), np.zeros((0, hcols))
@@ -306,6 +475,8 @@ def _fit_arrays(
     sig = (float(np.std(F)) or 1.0) / np.sqrt(k)
     U = np.concatenate([U0, rng.normal(0.0, sig, size=(mcols, k - k0))], axis=1)
     V = np.concatenate([V0, rng.normal(0.0, sig, size=(k - k0, hcols))], axis=0)
+    if weights is not None:
+        return _gram_fit(P, F, R, weights, U, V, lam, opts)
     B = np.vstack([V, np.zeros((p, hcols))]) if p else V
 
     lbfgs_opts = {"maxcor": 10, "maxiter": 500, "gtol": opts.grad_tol, "ftol": 1e-16}
@@ -417,11 +588,12 @@ def fit_factored(
     opts: FitOptions | None = None,
     means: np.ndarray | None = None,
 ) -> tuple[LowRankForecaster, FitReport]:
-    """Fits factors of a fixed width k by alternating L-BFGS sweeps.
+    """Fits factors of a fixed width k by alternating sweeps.
 
     Each sweep solves the (convex) subproblem in V with U fixed, then the
-    subproblem in U with V fixed; the objective trace is recorded after
-    every half sweep and never increases.  The returned model carries the
+    subproblem in U with V fixed, in closed form on the Gram path and by
+    L-BFGS otherwise (see _fit_arrays); the objective trace is recorded
+    after every half sweep and never increases.  The returned model carries the
     reduced, balanced factors.  Deterministic given opts.seed.
     """
     model, _, report = _fit_design(data.P, data, lam, kappa, loss, W, opts or FitOptions(), means)
@@ -443,7 +615,9 @@ def fit_auto_rank(
     is wider, capped at min(Mn, Hn).  If the reduced rank comes back equal
     to the factor width, the width is doubled (still capped) and the fit
     restarts warm from the previous factors, widened with fresh random
-    columns, since the solution may be rank-limited by k.  The report
+    columns, since the solution may be rank-limited by k; a fit whose KKT
+    residuals are all within CERT_TOL * lam is optimal for the convex
+    problem at any width and is not widened.  The report
     lists the widths tried and counts the work of all of them (see
     FitReport); cap_reached flags an undecidable rank at the dimension cap.
     """
@@ -462,7 +636,9 @@ def fit_auto_rank(
         schedule.append(k)
         iterations += report.iterations
         sweeps += report.sweeps
-        if model.rank < k or k == cap:
+        res = report.optimality_residuals
+        certified = res is not None and max(res) <= CERT_TOL * lam
+        if model.rank < k or k == cap or certified:
             break
         step = replace(opts, init=(model.U, model.V), seed=opts.seed + len(schedule))
         k = min(2 * k, cap)
@@ -556,8 +732,10 @@ def optimality_residuals(
     all zero at an exact solution.  A ridge aux fit's report (forecast
     P theta + R Phi, Phi solved in the V block) has r2 = hypot(r2,
     ||R^T Gf + lam Phi||_F), Gf the forecast gradient.  Every kept
-    singular value counts as support, so a theta that only decays toward
-    0 reads as uncertified.  Diagnostics only; never a stopping rule.
+    singular value counts as support, so a direction that only decays
+    toward 0 reads as uncertified until reduce_rank drops it.  The Gram
+    path stops on this certificate, evaluated from its Gram statistics;
+    for L-BFGS fits it is a diagnostic only.
     """
     if not loss.differentiable:
         raise ValueError("optimality residuals require a differentiable loss")

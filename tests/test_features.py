@@ -343,8 +343,8 @@ def test_ridge_phi_path_fits(rng):
 def test_ridge_phi_above_lambda_max_is_pure_ridge(seed):
     # above lambda_max of the windows alone theta vanishes, and Phi is the
     # ridge regression of F on aux: (aux^T aux + (N lam / 2) I)^-1 aux^T F.
-    # The sweeps run until the objective stalls, since theta only decays
-    # geometrically toward zero.
+    # The fit returns theta = 0 exactly, certified by the gradient at the
+    # ridge fit, instead of letting theta decay geometrically toward zero.
     data, aux = rand_joint_instance(np.random.default_rng(seed))
     lam = 2.0 * lambda_max(data.P, data.F)
     opts = FitOptions(k=4, obj_tol=0.0, max_outer=200)
@@ -353,6 +353,9 @@ def test_ridge_phi_above_lambda_max_is_pure_ridge(seed):
     Phi_ridge = np.linalg.solve(G, aux.T @ data.F)
     assert np.linalg.norm(model.theta()) <= 1e-12
     assert np.linalg.norm(Phi - Phi_ridge) <= 1e-6 * np.linalg.norm(Phi_ridge)
+    assert model.rank == 0
+    assert rep.converged and rep.sweeps == 0
+    assert max(rep.optimality_residuals) <= 1e-6 * lam
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

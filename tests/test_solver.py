@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from conftest import fd_grad
 from lrforecast import (
@@ -7,9 +10,14 @@ from lrforecast import (
     L1,
     Loss,
     NumericalError,
+    SimSpec,
+    aux_joint_fit,
+    build_weights,
     build_windows,
+    center,
     fit_auto_rank,
     fit_factored,
+    gen_model,
     huber,
     inconsistency_grad,
     lambda_max,
@@ -18,6 +26,7 @@ from lrforecast import (
     nuclear_norm,
     optimality_residuals,
     reduce_rank,
+    sample,
     svt_reference_solve,
 )
 from lrforecast.core import WindowedDataset
@@ -430,3 +439,169 @@ def test_rank_zero_model_forecasts_zero(rng):
     assert model.rank == 0
     assert np.array_equal(model.forecast(data.P), np.zeros_like(data.F))
     assert model.singular_values.shape == (0,)
+
+
+# ------------------------------------------------------------ Gram path
+
+
+def count_lbfgs(monkeypatch):
+    # counts scipy L-BFGS calls made by the solver; the Gram path makes none
+    from lrforecast import solver
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize", spy)
+    return calls
+
+
+def paper_instance(seed):
+    # the paper-scale simulated series: n=10, r=2, T=100, M=H=12 (N=77)
+    spec = SimSpec(n=10, r=2, T_train=100, seed=seed)
+    train, _ = sample(gen_model(spec), spec.T_train, seed=seed)
+    centered, _ = center(train)
+    return build_windows(centered, 12, 12)
+
+
+# a budget that lets a spurious direction decay below reduce_rank's cutoff even
+# when its gradient singular value is within a few percent of lam
+GRAM_OPTS = dict(obj_tol=0.0, max_outer=2000)
+
+
+def assert_matches_reference(obj_fit, obj_ref, residuals, lam):
+    assert abs(obj_fit - obj_ref) <= 1e-6 * abs(obj_ref)
+    assert max(residuals) <= 1e-6 * lam
+
+
+def test_gram_path_certifies_paper_instance_2(monkeypatch):
+    # L-BFGS stopped here on the objective stall at rank 5 and KKT/lam 0.23;
+    # the certificate reaches the reference's rank 4
+    calls = count_lbfgs(monkeypatch)
+    data = paper_instance(2)
+    lam = 0.1 * lambda_max(data.P, data.F)
+    model, report = fit_auto_rank(data, lam)
+    assert model.rank == 4
+    assert report.converged
+    assert max(report.optimality_residuals) <= 1e-6 * lam
+    assert report.iterations == 2 * report.sweeps
+    assert not calls
+
+
+def test_gram_stall_ends_only_a_width_bound_fit(rng):
+    # at k=1 the rank-1 factors cannot be certified for a rank >= 2 optimum:
+    # the stall ends the fit, unconverged, and fit_auto_rank widens it
+    data = rand_instance(rng, N=30)
+    lam = 0.1 * lambda_max(data.P, data.F)
+    full, _ = fit_auto_rank(data, lam)
+    assert full.rank >= 2
+    opts = FitOptions(k=1, max_outer=1000)
+    model, report = fit_factored(data, lam, opts=opts)
+    assert model.rank == 1
+    assert not report.converged
+    assert report.sweeps < opts.max_outer
+    # run to a standstill, the rank-1 factors are stationary (r2, r3 vanish)
+    # but not optimal: r1 alone refuses the certificate
+    _, still = fit_factored(data, lam, opts=FitOptions(k=1, obj_tol=0.0, max_outer=1000))
+    r1, r2, r3 = still.optimality_residuals
+    assert not still.converged
+    assert max(r2, r3) <= 1e-6 * lam < r1
+    auto, auto_report = fit_auto_rank(data, lam, opts=opts)
+    assert auto_report.k_schedule[:2] == [1, 2]
+    assert auto_report.converged and auto.rank == full.rank
+    assert max(auto_report.optimality_residuals) <= 1e-6 * lam
+
+
+def test_gram_path_rank_one_weights_match_reference(monkeypatch, rng):
+    calls = count_lbfgs(monkeypatch)
+    N, n, M, H = 30, 2, 4, 3
+    data = rand_instance(rng, N=N, n=n, M=M, H=H)
+    W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), N, M, H, N + M + H - 1)
+    for frac in (0.1, 0.5):
+        lam = frac * lambda_max(data.P, data.F, W=W)
+        model, report = fit_factored(data, lam, W=W, opts=FitOptions(k=6, **GRAM_OPTS))
+        assert report.converged
+        ref = main_objective(svt_reference_solve(data, lam, W=W, tol=1e-12), data, lam, W=W)
+        obj = main_objective(model.theta(), data, lam, W=W)
+        assert_matches_reference(obj, ref, report.optimality_residuals, lam)
+    assert not calls
+
+
+def test_gram_path_joint_aux_matches_reference(monkeypatch, rng):
+    # with p = n aux columns, [P, aux] is a window matrix of M + 1 past rows
+    calls = count_lbfgs(monkeypatch)
+    data = rand_instance(rng, N=40, n=2, M=3, H=2)
+    aux = rng.normal(size=(data.N, data.n))
+    stacked = WindowedDataset(P=np.hstack([data.P, aux]), F=data.F, n=data.n,
+                              M=data.M + 1, H=data.H)
+    lam = 0.05 * lambda_max(stacked.P, stacked.F)
+    model, Phi, report = aux_joint_fit(data, aux, lam, opts=FitOptions(k=4, **GRAM_OPTS))
+    assert report.converged
+    ref = main_objective(svt_reference_solve(stacked, lam, tol=1e-12), stacked, lam)
+    obj = main_objective(np.vstack([model.theta(), Phi]), stacked, lam)
+    assert_matches_reference(obj, ref, report.optimality_residuals, lam)
+    assert not calls
+
+
+def test_gram_path_ridge_block_matches_reference(monkeypatch, rng):
+    # minimizing over Phi leaves the loss (1/N) ||L (P theta - F)||^2 with
+    # L^2 = I - R (R^T R + (N lam / 2) I)^-1 R^T, a plain problem in theta
+    calls = count_lbfgs(monkeypatch)
+    data = rand_instance(rng, N=40, n=2, M=3, H=2)
+    R = rng.normal(size=(data.N, 3))
+    lam = 0.05 * lambda_max(data.P, data.F)
+    model, Phi, report = aux_joint_fit(data, R, lam, joint_nuclear=False,
+                                       opts=FitOptions(k=4, **GRAM_OPTS))
+    assert report.converged and model.rank > 0
+    c = 0.5 * data.N * lam
+    d, Q = np.linalg.eigh(np.eye(data.N) - R @ np.linalg.solve(R.T @ R + c * np.eye(3), R.T))
+    L = (Q * np.sqrt(np.maximum(d, 0.0))) @ Q.T
+    reduced = WindowedDataset(P=L @ data.P, F=L @ data.F, n=data.n, M=data.M, H=data.H)
+    ref = main_objective(svt_reference_solve(reduced, lam, tol=1e-12), reduced, lam)
+    theta = model.theta()
+    resid = data.P @ theta + R @ Phi - data.F
+    obj = (float((resid * resid).sum()) / data.N + lam * nuclear_norm(theta)
+           + 0.5 * lam * float((Phi * Phi).sum()))
+    assert_matches_reference(obj, ref, report.optimality_residuals, lam)
+    assert not calls
+
+
+def test_weights_not_rank_one_take_lbfgs(monkeypatch, rng):
+    calls = count_lbfgs(monkeypatch)
+    data = rand_instance(rng, N=30)
+    W = rng.uniform(0.5, 1.5, size=data.F.shape)
+    lam = 0.3 * lambda_max(data.P, data.F, W=W)
+    model, _ = fit_factored(data, lam, W=W, opts=FitOptions(k=6, **GRAM_OPTS))
+    assert calls
+    ref = main_objective(svt_reference_solve(data, lam, W=W, tol=1e-12), data, lam, W=W)
+    obj = main_objective(model.theta(), data, lam, W=W)
+    # the L-BFGS path is held to acceptance check C3's bounds
+    assert abs(obj - ref) <= 1e-4 * abs(ref)
+    assert max(optimality_residuals(model.U, model.V, data, lam, W=W)) <= 1e-3 * lam
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 3),
+    M=st.integers(2, 4),
+    H=st.integers(1, 3),
+    frac=st.floats(0.05, 0.9),
+    weighted=st.booleans(),
+)
+def test_gram_path_agrees_with_reference_property(seed, n, M, H, frac, weighted):
+    rng = np.random.default_rng(seed)
+    N = 3 * M * n + 10
+    data = rand_instance(rng, N=N, n=n, M=M, H=H)
+    W = None
+    if weighted:
+        W = build_weights(float(rng.uniform(1.0, 10.0)), float(rng.uniform(5.0, 50.0)),
+                          rng.uniform(0.5, 1.5, size=n), N, M, H, N + M + H - 1)
+    lam = frac * lambda_max(data.P, data.F, W=W)
+    model, report = fit_auto_rank(data, lam, W=W, opts=FitOptions(**GRAM_OPTS))
+    assert report.converged
+    ref = main_objective(svt_reference_solve(data, lam, W=W, tol=1e-12), data, lam, W=W)
+    obj = main_objective(model.theta(), data, lam, W=W)
+    assert_matches_reference(obj, ref, report.optimality_residuals, lam)
