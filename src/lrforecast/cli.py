@@ -398,7 +398,7 @@ def cmd_latent(args) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="initial factor width")
     p.add_argument("--max-outer", dest="max_outer", type=int,
-                   help="max alternation sweeps")
+                   help="max solver sweeps (closed-form V/U passes or L-BFGS restarts)")
     p.add_argument("--obj-tol", dest="obj_tol", type=float,
                    help="relative objective decrease stop")
     p.add_argument("--grad-tol", dest="grad_tol", type=float,

@@ -6,9 +6,10 @@ fitted baseline back afterwards.  Joint fitting augments each past window
 with the feature vector of its origin so a separate coefficient block Phi
 is learned alongside the low-rank forecast matrix; the nuclear-norm
 penalty can either cover the stacked block matrix or leave Phi under a
-plain ridge penalty.  Both run the solver's one alternating engine: the
+plain ridge penalty.  Both run the solver's one fitting path: the
 stacked matrix as wider factors, the ridge-penalized Phi as its
-unfactored regressor block, solved together with V in each sweep.
+unfactored regressor block, solved with V in each closed-form sweep and
+with all the factors in each L-BFGS solve.
 
 A fitted low-rank model also exposes simple latent dynamics: regressing
 successive encoded states on each other gives a one-step linear system
@@ -256,8 +257,9 @@ def aux_joint_fit(
     appended to P and the stacked factorization is split afterwards into
     the window part (theta, returned as the low-rank model) and the
     feature part Phi.  Otherwise Phi carries a plain ridge penalty
-    (lam/2) ||Phi||_F^2 outside the factorization and is optimized jointly
-    with V in each sweep.  With zero aux columns both paths reduce to the
+    (lam/2) ||Phi||_F^2 outside the factorization and is optimized with the
+    factors: jointly with V in each closed-form sweep, or with U and V in
+    each L-BFGS solve.  With zero aux columns both paths reduce to the
     plain factored fit.
 
     The fit stays at one width, opts.k capped as in fit_auto_rank at

@@ -10,19 +10,20 @@ target problem is
 
 which is convex.  The production solver works on a factorization
 theta = U V (U: Mn x k, V: k x Hn), replacing the nuclear norm with
-(lam/2) (||U||_F^2 + ||V||_F^2) and alternating solves over V and U; each
-subproblem is convex and the variational form of the nuclear norm makes
-the factored problem agree with the convex one at optimum once k is at
-least the optimal rank.
+(lam/2) (||U||_F^2 + ||V||_F^2); the variational form of the nuclear norm
+makes the factored problem agree with the convex one at optimum once k is
+at least the optimal rank.
 
-Two engines run the alternation.  For squared l2 at kappa = 0 with lam > 0
+Two engines fit the factors.  For squared l2 at kappa = 0 with lam > 0
 and W absent or rank one (W = a b^T), the objective sees the data only
-through Gram statistics of the design, so each half-sweep is an exact
-closed-form solve whose cost does not depend on N (softImpute-ALS on the
-variational nuclear norm), and the fit stops on the KKT certificate of
-optimality_residuals, evaluated from the same statistics.  Every other fit
-(kappa > 0, Huber, l1, a W that is not rank one) alternates limited-memory
-BFGS solves and stops when the objective stalls.
+through Gram statistics of the design, so the fit alternates exact
+closed-form solves over V and U whose cost does not depend on N
+(softImpute-ALS on the variational nuclear norm), and stops on the KKT
+certificate of optimality_residuals, evaluated from the same statistics.
+Every other fit (kappa > 0, Huber, l1 through its Huber smoothing, a W
+that is not rank one, lam = 0) minimizes over all factors at once with
+limited-memory BFGS, as in the Burer-Monteiro factored method, and stops
+when the objective stalls between restarts.
 
 An independent proximal-gradient reference solver (singular value
 soft-thresholding on the dense matrix) is included for certification.
@@ -39,7 +40,8 @@ from scipy.optimize import minimize
 
 from .core import WindowedDataset
 from .objective import (
-    SQUARED_L2, Loss, _check_weights, hankel_project, inconsistency, loss_grad, loss_value,
+    L1, SQUARED_L2, Loss, _check_weights, hankel_project, huber, inconsistency, loss_grad,
+    loss_value,
 )
 
 # a Gram-path fit is certified once max(r1, r2, r3) <= CERT_TOL * lam
@@ -55,15 +57,16 @@ class FitOptions:
     """Knobs for the factored solver.
 
     k: factor width (inner dimension); must not exceed min(Mn, Hn).
-    max_outer: maximum number of alternating sweeps (one sweep = solve V
-        then solve U).
+    max_outer: maximum number of sweeps.  A Gram-path sweep solves V then
+        U; an L-BFGS sweep is one joint solve over [U; V; Phi], restarted
+        from the last iterate.
     obj_tol: an L-BFGS fit stops when the relative objective decrease over
         a sweep falls below this.  A Gram-path fit stops on its KKT
         certificate instead; the stall ends it only when the width binds
         (reduced rank k < min(Mn, Hn)), as unconverged.
-    grad_tol: gradient tolerance of each inner L-BFGS solve (history 10,
-        at most 500 iterations per subproblem, strong Wolfe line search);
-        the Gram path's block solves are exact and do not read it.
+    grad_tol: gradient tolerance of each joint L-BFGS-B solve (history 10,
+        at most 1000 iterations per sweep); the Gram path's block solves
+        are exact and do not read it.
     seed: drives the random entries of the initial factors.
     init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
         with k0 <= k.  The fit starts from these columns widened to k by
@@ -93,9 +96,12 @@ class FitReport:
     On the Gram path (squared l2, kappa = 0, lam > 0, W absent or rank one)
     converged means the KKT certificate max(r1, r2, r3) <= CERT_TOL * lam
     held, or theta = 0 was certified without sweeps; iterations counts one
-    per closed-form block solve, two per sweep.  On the L-BFGS path
-    converged means the objective stalled below opts.obj_tol, and
-    iterations counts inner L-BFGS iterations.
+    per closed-form block solve, two per sweep, and objective_trace has
+    the start and one entry per half sweep.  On the L-BFGS path converged
+    means the objective stalled below opts.obj_tol, iterations counts
+    L-BFGS iterations, and the trace has one entry per sweep after the
+    start.  An l1 trace holds the objective of _smooth_l1's smoothing,
+    which lies within Hn d / 2 below the l1 objective.
     """
 
     objective_trace: list[float]
@@ -260,20 +266,37 @@ def _forecast_value_grad(
     return val, G
 
 
-def _factored_objective(
-    P: np.ndarray,
-    F: np.ndarray,
-    n: int,
-    U: np.ndarray,
-    V: np.ndarray,
-    lam: float,
-    kappa: float,
-    loss: Loss,
-    W: np.ndarray | None,
-) -> float:
-    Fhat = (P @ U) @ V
-    val, _ = _forecast_value_grad(Fhat, F, n, loss, W, kappa)
-    return val + 0.5 * lam * (float((U * U).sum()) + float((V * V).sum()))
+def _factored_value_grad(
+    x: np.ndarray, P: np.ndarray, F: np.ndarray, n: int, k: int, lam: float, kappa: float,
+    loss: Loss, W: np.ndarray | None, R: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Factored objective and its gradient at x = [U; V; Phi], raveled.
+
+    U is Mn x k and B = [V; Phi] is (k + p) x Hn, Phi the coefficients of
+    the ridge block R (p = 0 without one).  The value is the smooth part
+    of _forecast_value_grad at Fhat = P U V + R Phi plus
+    (lam/2)(||U||_F^2 + ||V||_F^2 + ||Phi||_F^2).
+    """
+    mcols, hcols = P.shape[1], F.shape[1]
+    U = x[: mcols * k].reshape(mcols, k)
+    B = x[mcols * k :].reshape(-1, hcols)
+    PU = P @ U
+    Z = PU if R is None else np.hstack([PU, R])
+    val, G = _forecast_value_grad(Z @ B, F, n, loss, W, kappa)
+    grad = np.concatenate([(P.T @ (G @ B[:k].T)).ravel(), (Z.T @ G).ravel()])
+    return val + 0.5 * lam * float(x @ x), grad + lam * x
+
+
+def _smooth_l1(F: np.ndarray, W: np.ndarray | None) -> tuple[Loss, np.ndarray]:
+    """The (loss, W) pair that stands in for l1 in the L-BFGS solve.
+
+    With d = 1e-4 * (std(F) or 1) and c = 1/sqrt(2d), huber(c d) applied
+    to c W * r is |r| - d/2 where |r| > d and r^2 / (2d) inside, so the
+    smoothed loss lies within Hn d / 2 below the l1 loss.
+    """
+    d = 1e-4 * (float(np.std(F)) or 1.0)
+    c = 1.0 / math.sqrt(2.0 * d)
+    return huber(c * d), c * (np.ones(F.shape) if W is None else W)
 
 
 def _rank_one_weights(
@@ -372,7 +395,7 @@ def _gram_fit(
             worst = max(worst, _spectral_norm(Gt + lam * (Uth @ Vth.T)) - lam)
         return worst, sigma.size
 
-    def u_step(B):
+    def solve_u(B):
         V, Phi = B[:k], B[k:]
         Vb = V * b2
         rhs = (C - GPR @ Phi if p else C) @ Vb.T
@@ -392,7 +415,7 @@ def _gram_fit(
         sweep_start = trace[-1]
         B = solve(K, Cz)
         trace.append(objective(K, Cz, B, Ut))
-        Ut = u_step(B)
+        Ut = solve_u(B)
         K, Cz = normal(Ut)
         obj = objective(K, Cz, B, Ut)
         trace.append(obj)
@@ -421,20 +444,24 @@ def _fit_arrays(
     opts: FitOptions,
     R: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, int, bool, np.ndarray]:
-    """Alternating block solves on the factored objective. Returns raw factors.
+    """Fits the factored objective at width k. Returns raw factors.
 
     Squared l2 at kappa = 0 with lam > 0 and W absent or rank one runs
-    _gram_fit's exact solves; every other fit alternates L-BFGS.  Both
-    share the validation, the initial factors and the zero exit above
-    lambda_max.
+    _gram_fit's exact alternating solves.  Every other fit minimizes
+    _factored_value_grad over all of x = [U; V; Phi]: a sweep is one
+    L-BFGS-B solve restarted from the last iterate, and the fit ends,
+    converged, once a sweep lowers the objective by at most opts.obj_tol
+    relative.  l1 is swapped for _smooth_l1's smoothing at entry.  Both
+    engines share the validation, the initial factors and the zero exit
+    above lambda_max.
 
     R (N x p, optional) adds regressors outside the factorization: the
     forecast becomes P U V + R Phi, and their coefficients Phi (p x Hn)
-    carry the ridge penalty (lam/2) ||Phi||_F^2.  Phi starts at zero and
-    is solved jointly with V as one block B = [V; Phi] against the design
-    Z = [P U, R]; the U-step holds R Phi fixed.  Returns (U, V, trace,
-    inner iterations, sweeps, converged, Phi), with Phi of shape
-    (0, Hn) when R is omitted.
+    carry the ridge penalty (lam/2) ||Phi||_F^2.  Phi starts at zero; the
+    Gram path solves it jointly with V as one block B = [V; Phi] against
+    the design Z = [P U, R], and the L-BFGS path with U and V.  Returns
+    (U, V, trace, inner iterations, sweeps, converged, Phi), with Phi of
+    shape (0, Hn) when R is omitted.
     """
     N, mcols = P.shape
     hcols = F.shape[1]
@@ -455,16 +482,20 @@ def _fit_arrays(
             f"({mcols}, k0)/(k0, {hcols}) with k0 <= {k}"
         )
 
+    if loss.kind == L1:
+        loss, W = _smooth_l1(F, W)
+
     # W = a b^T (or no W) keeps squared l2 at kappa = 0 a function of Gram statistics
     weights = None
     if loss.kind == SQUARED_L2 and kappa == 0.0 and lam > 0:
         weights = (None, np.ones(hcols)) if W is None else _rank_one_weights(W, F.shape)
 
-    if lam > 0 and loss.differentiable and not p:
-        # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2,
-        # and the alternation only crawls toward it; exit with the certified answer.
+    if lam > 0 and not p:
+        # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2
+        # (for l1, of its smoothing), and the sweeps only crawl toward it; exit
+        # with the certified answer.
         # With a ridge block the threshold is taken at the ridge fit of Phi, which
-        # only the Gram path computes (_gram_fit); L-BFGS always alternates.
+        # only the Gram path computes (_gram_fit); the L-BFGS path always sweeps.
         if lam >= lambda_max(P, F, loss, W=W):
             val = loss_value(np.zeros_like(F), F, loss, W)
             U, V, Phi = np.zeros((mcols, k)), np.zeros((k, hcols)), np.zeros((0, hcols))
@@ -477,67 +508,30 @@ def _fit_arrays(
     V = np.concatenate([V0, rng.normal(0.0, sig, size=(k - k0, hcols))], axis=0)
     if weights is not None:
         return _gram_fit(P, F, R, weights, U, V, lam, opts)
-    B = np.vstack([V, np.zeros((p, hcols))]) if p else V
 
-    lbfgs_opts = {"maxcor": 10, "maxiter": 500, "gtol": opts.grad_tol, "ftol": 1e-16}
-
-    def v_step(U, B):
-        PU = P @ U
-        Z = np.hstack([PU, R]) if p else PU
-        u_norm2 = float((U * U).sum())
-
-        def fg(b):
-            Bm = b.reshape(k + p, hcols)
-            val, G = _forecast_value_grad(Z @ Bm, F, n, loss, W, kappa)
-            val += 0.5 * lam * (u_norm2 + float((Bm * Bm).sum()))
-            grad = Z.T @ G + lam * Bm
-            return val, grad.ravel()
-
-        res = minimize(fg, B.ravel(), jac=True, method="L-BFGS-B", options=lbfgs_opts)
-        return res.x.reshape(k + p, hcols), float(res.fun), int(res.nit)
-
-    def u_step(U, B):
-        V = B[:k]
-        b_norm2 = float((B * B).sum())
-        Vt = V.T
-        offset = R @ B[k:] if p else None
-
-        def fg(u):
-            Um = u.reshape(mcols, k)
-            Fhat = (P @ Um) @ V
-            if offset is not None:
-                Fhat += offset
-            val, G = _forecast_value_grad(Fhat, F, n, loss, W, kappa)
-            val += 0.5 * lam * (float((Um * Um).sum()) + b_norm2)
-            grad = P.T @ (G @ Vt) + lam * Um
-            return val, grad.ravel()
-
-        res = minimize(fg, U.ravel(), jac=True, method="L-BFGS-B", options=lbfgs_opts)
-        return res.x.reshape(mcols, k), float(res.fun), int(res.nit)
-
-    # Phi starts at zero, so the initial objective is that of the factors alone
-    obj = _factored_objective(P, F, n, U, V, lam, kappa, loss, W)
+    args = (P, F, n, k, lam, kappa, loss, W, R)
+    x = np.concatenate([U.ravel(), V.ravel(), np.zeros(p * hcols)])
+    obj, _ = _factored_value_grad(x, *args)
     if not np.isfinite(obj):
         raise NumericalError(f"objective is not finite at the initial point ({obj})")
+    lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": opts.grad_tol, "ftol": 1e-16}
     trace = [obj]
     total_iters = 0
     converged = False
     sweeps = 0
     for sweeps in range(1, opts.max_outer + 1):
-        sweep_start = trace[-1]
-        B, obj, nit = v_step(U, B)
-        trace.append(obj)
-        total_iters += nit
-        U, obj, nit = u_step(U, B)
-        trace.append(obj)
-        total_iters += nit
+        res = minimize(_factored_value_grad, x, args=args, jac=True, method="L-BFGS-B",
+                       options=lbfgs_opts)
+        x, obj = res.x, float(res.fun)
+        total_iters += int(res.nit)
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite after sweep {sweeps}")
-        decrease = sweep_start - obj
-        if decrease <= opts.obj_tol * max(abs(sweep_start), 1e-300):
+        trace.append(obj)
+        if trace[-2] - obj <= opts.obj_tol * max(abs(trace[-2]), 1e-300):
             converged = True
             break
-    return U, B[:k], trace, total_iters, sweeps, converged, B[k:]
+    B = x[mcols * k :].reshape(k + p, hcols)
+    return x[: mcols * k].reshape(mcols, k), B[:k], trace, total_iters, sweeps, converged, B[k:]
 
 
 def _fit_design(
@@ -588,13 +582,13 @@ def fit_factored(
     opts: FitOptions | None = None,
     means: np.ndarray | None = None,
 ) -> tuple[LowRankForecaster, FitReport]:
-    """Fits factors of a fixed width k by alternating sweeps.
+    """Fits factors of a fixed width k by sweeps.
 
-    Each sweep solves the (convex) subproblem in V with U fixed, then the
-    subproblem in U with V fixed, in closed form on the Gram path and by
-    L-BFGS otherwise (see _fit_arrays); the objective trace is recorded
-    after every half sweep and never increases.  The returned model carries the
-    reduced, balanced factors.  Deterministic given opts.seed.
+    On the Gram path a sweep solves the (convex) subproblem in V with U
+    fixed, then the one in U with V fixed, in closed form; elsewhere it is
+    one L-BFGS solve over all factors (see _fit_arrays).  The objective
+    trace never increases.  The returned model carries the reduced,
+    balanced factors.  Deterministic given opts.seed.
     """
     model, _, report = _fit_design(data.P, data, lam, kappa, loss, W, opts or FitOptions(), means)
     return model, report
@@ -663,10 +657,11 @@ def lambda_max(
     values stall it.  The consistency term contributes nothing: the zero
     forecast matrix is block Hankel, so the distance gradient vanishes at
     0 for any kappa, so the bound takes no kappa.
-    For the squared l2 loss this is (2/N) ||P^T F||_2.
+    For the squared l2 loss this is (2/N) ||P^T F||_2.  For l1 the
+    gradient is the subgradient G0 = loss_grad(0, F, l1, W), 0 where an
+    entry of W * F is 0: ||P^T G0||_2 is exact when no entry is 0, and an
+    upper bound on the threshold otherwise.
     """
-    if not loss.differentiable:
-        raise ValueError("lambda_max requires a differentiable loss (l1 is not supported)")
     tol, max_iters = 1e-12, 50000
     P = np.asarray(P, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -761,8 +756,8 @@ def svt_reference_solve(
     backtracking step size, Nesterov momentum, and a monotone restart.
     Stops when the relative objective change stays below tol.  It shares
     one piece with the factored solver: the smooth term and its gradient
-    come from _forecast_value_grad, the evaluator the L-BFGS closures also
-    call, and acceptance check C1 tests that evaluator's gradient against
+    come from _forecast_value_grad, the evaluator _factored_value_grad
+    also calls, and acceptance check C1 tests that evaluator's gradient against
     central differences on its own.  Iterates, step rule and stopping rule
     are separate, so agreement between the two paths certifies the rest.
     """

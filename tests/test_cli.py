@@ -606,6 +606,24 @@ def test_sweep_command(small, tmp_path):
         assert np.isfinite(r["test_loss"])
 
 
+def test_l1_sweep_and_alpha_fit(small, tmp_path):
+    # lambda_max takes l1's subgradient at zero, so --alpha works with l1
+    out = tmp_path / "sweep.csv"
+    assert run(
+        "sweep", "--train", small / "train.csv", "--test", small / "test.csv",
+        "--M", 3, "--H", 2, "--alphas", "0.5,0.1", "--kappas", "0,0.5",
+        "--k", 3, "--seed", 0, "--loss", "l1", "--out", out,
+    ) == 0
+    rows = read_sweep_csv(str(out))
+    assert len(rows) == 4
+    assert all(r["rank"] >= 0 and np.isfinite(r["test_loss"]) for r in rows)
+    assert run(
+        "fit", "--train", small / "train.csv", "--M", 3, "--H", 2, "--alpha", 0.3,
+        "--loss", "l1", "--model-out", tmp_path / "m.json",
+        "--report-out", tmp_path / "r.json",
+    ) == 0
+
+
 # ----------------------------------------------------------------- exit codes
 
 

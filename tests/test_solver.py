@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from lrforecast import (
     fit_factored,
     gen_model,
     huber,
-    inconsistency_grad,
+    inconsistency,
     lambda_max,
     loss_grad,
+    loss_value,
     main_objective,
     nuclear_norm,
     optimality_residuals,
@@ -30,7 +33,7 @@ from lrforecast import (
     svt_reference_solve,
 )
 from lrforecast.core import WindowedDataset
-from lrforecast.solver import _factored_objective, _fit_arrays
+from lrforecast.solver import _factored_value_grad, _fit_arrays, _smooth_l1
 
 
 def rand_instance(rng, N=15, n=2, M=4, H=3, scale=1.0):
@@ -38,15 +41,13 @@ def rand_instance(rng, N=15, n=2, M=4, H=3, scale=1.0):
     return build_windows(x, M, H)
 
 
-def analytic_grads(data, U, V, lam, kappa, loss, W=None):
-    # stated gradient formulas, assembled independently of the solver
+def factored_value(data, U, V, Phi, R, lam, kappa, loss, W):
+    # the factored objective, assembled independently of the solver
     Fhat = (data.P @ U) @ V
-    G = loss_grad(Fhat, data.F, loss, W)
-    if kappa:
-        G = G + kappa * inconsistency_grad(Fhat, data.n)
-    gU = data.P.T @ (G @ V.T) + lam * U
-    gV = (data.P @ U).T @ G + lam * V
-    return gU, gV
+    if R is not None:
+        Fhat = Fhat + R @ Phi
+    val = loss_value(Fhat, data.F, loss, W) + kappa * inconsistency(Fhat, data.n)
+    return val + 0.5 * lam * sum(float((A * A).sum()) for A in (U, V, Phi))
 
 
 @pytest.mark.parametrize("kind,kappa", [
@@ -54,29 +55,29 @@ def analytic_grads(data, U, V, lam, kappa, loss, W=None):
     ("huber", 1.3), ("l1", 0.0), ("l1", 0.5),
 ])
 def test_factored_gradients_match_fd(kind, kappa):
-    rng = np.random.default_rng(hash(kind) % 1000 + int(10 * kappa))
-    loss = {"squared_l2": Loss(), "huber": huber(0.6), "l1": Loss(kind=L1)}[kind]
-    for trial in range(6):
-        data = rand_instance(rng, N=np.random.default_rng(trial).integers(5, 15))
-        k = 3
-        U = rng.normal(size=(data.P.shape[1], k))
-        V = rng.normal(size=(k, data.F.shape[1]))
-        W = rng.uniform(0.5, 1.5, size=data.F.shape) if trial % 2 else None
+    # the value and gradient the L-BFGS solve minimizes, in x = [U; V; Phi]:
+    # the value against an independent assembly, the gradient against
+    # central differences of that value; l1 as the smoothing the solver uses
+    rng = np.random.default_rng(sum(map(ord, kind)) + int(10 * kappa))
+    k, lam = 3, 0.3
+    for weighted, p in itertools.product((False, True), (0, 2)):
+        data = rand_instance(rng, N=int(rng.integers(5, 15)))
+        mcols, hcols = data.P.shape[1], data.F.shape[1]
+        W = rng.uniform(0.5, 1.5, size=data.F.shape) if weighted else None
+        R = rng.normal(size=(data.N, p)) if p else None
+        U = rng.normal(size=(mcols, k))
+        V = rng.normal(size=(k, hcols))
+        Phi = rng.normal(size=(p, hcols))
+        loss = {"squared_l2": Loss(), "huber": huber(0.6)}.get(kind)
         if kind == "l1":
-            # keep every residual away from the kink so fd is valid
-            R = (data.P @ U) @ V - data.F
-            if np.min(np.abs(R)) < 1e-4:
-                continue
-        lam = 0.3
-        gU, gV = analytic_grads(data, U, V, lam, kappa, loss, W)
-        fU = fd_grad(lambda A: _factored_objective(
-            data.P, data.F, data.n, A, V, lam, kappa, loss, W), U)
-        fV = fd_grad(lambda B: _factored_objective(
-            data.P, data.F, data.n, U, B, lam, kappa, loss, W), V)
-        scale = max(1.0, np.abs(fU).max())
-        assert np.abs(gU - fU).max() <= 1e-5 * scale
-        scale = max(1.0, np.abs(fV).max())
-        assert np.abs(gV - fV).max() <= 1e-5 * scale
+            loss, W = _smooth_l1(data.F, W)
+        x = np.concatenate([U.ravel(), V.ravel(), Phi.ravel()])
+        args = (data.P, data.F, data.n, k, lam, kappa, loss, W, R)
+        val, grad = _factored_value_grad(x, *args)
+        ref = factored_value(data, U, V, Phi, R, lam, kappa, loss, W)
+        assert np.isclose(val, ref, rtol=1e-12)
+        fd = fd_grad(lambda y: _factored_value_grad(y, *args)[0], x)
+        assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
 
 # ------------------------------------------------------------- reduce_rank
@@ -143,6 +144,8 @@ def test_objective_trace_nonincreasing(rng):
     assert np.all(t[1:] <= t[:-1] + 1e-10 * np.abs(t[:-1]))
     assert report.final_objective == t[-1]
     assert report.converged
+    # kappa > 0 takes the joint L-BFGS solve: one trace entry per sweep
+    assert len(t) == report.sweeps + 1
 
 
 def test_fit_is_deterministic(rng):
@@ -300,7 +303,7 @@ def test_optimality_residuals_flag_non_solutions(rng):
 
 
 def test_lambda_max_matches_dense_norm(rng):
-    for loss in (Loss(), huber(0.4)):
+    for loss in (Loss(), huber(0.4), Loss(kind=L1)):
         for with_w in (False, True):
             data = rand_instance(rng, N=18)
             W = rng.uniform(0.5, 2.0, size=data.F.shape) if with_w else None
@@ -318,8 +321,6 @@ def test_lambda_max_l2_closed_form(rng):
 
 def test_lambda_max_edge_cases(rng):
     data = rand_instance(rng)
-    with pytest.raises(ValueError):
-        lambda_max(data.P, data.F, Loss(kind=L1))
     assert lambda_max(data.P, np.zeros_like(data.F)) == 0.0
 
 
@@ -605,3 +606,46 @@ def test_gram_path_agrees_with_reference_property(seed, n, M, H, frac, weighted)
     ref = main_objective(svt_reference_solve(data, lam, W=W, tol=1e-12), data, lam, W=W)
     obj = main_objective(model.theta(), data, lam, W=W)
     assert_matches_reference(obj, ref, report.optimality_residuals, lam)
+
+
+# ------------------------------------------------------------ joint L-BFGS
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_consistency_fit_is_certified_at_reference_rank(seed):
+    # at kappa > 0 the joint L-BFGS solve must reach the KKT certificate's
+    # scale and the reference's rank, not keep a decaying spurious direction
+    data = paper_instance(seed)
+    lam = 0.1 * lambda_max(data.P, data.F)
+    model, report = fit_auto_rank(data, lam, kappa=1.0)
+    assert max(report.optimality_residuals) <= 1e-5 * lam
+    theta_ref = svt_reference_solve(data, lam, 1.0, tol=1e-10)
+    ref_rank = np.linalg.matrix_rank(theta_ref, tol=1e-8 * np.linalg.norm(theta_ref, 2))
+    assert model.rank == ref_rank
+
+
+def l1_instance(seed):
+    spec = SimSpec(n=4, r=2, T_train=80, seed=seed)
+    train, _ = sample(gen_model(spec), spec.T_train, seed=seed)
+    centered, _ = center(train)
+    return build_windows(centered, 6, 4)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_l1_fit_beats_zero_and_l2_fit(seed):
+    # l1 is fitted through its Huber smoothing, whose gradient lets the
+    # solver drop near-zero directions instead of keeping them as rank
+    l1 = Loss(kind=L1)
+    data = l1_instance(seed)
+    lmax = lambda_max(data.P, data.F)
+    lam = 0.05 * lmax
+    model, _ = fit_auto_rank(data, lam, loss=l1)
+    l2_model, _ = fit_auto_rank(data, lam)
+    obj = main_objective(model.theta(), data, lam, loss=l1)
+    assert model.rank <= 2
+    assert obj <= main_objective(np.zeros_like(model.theta()), data, lam, loss=l1)
+    assert obj <= main_objective(l2_model.theta(), data, lam, loss=l1)
+    if seed in (0, 3, 4, 5):
+        # the smoothed problem's lambda_max lies below 0.2 * lmax here
+        model, report = fit_auto_rank(data, 0.2 * lmax, loss=l1)
+        assert model.rank == 0 and report.sweeps == 0
