@@ -63,10 +63,9 @@ class FitOptions:
     obj_tol: an L-BFGS fit stops when the relative objective decrease over
         a sweep falls below this.  A Gram-path fit stops on its KKT
         certificate instead; the stall ends it only when the width binds
-        (reduced rank k < min(Mn, Hn)), as unconverged.
-    grad_tol: gradient tolerance of each joint L-BFGS-B solve (history 10,
-        at most 1000 iterations per sweep); the Gram path's block solves
-        are exact and do not read it.
+        (reduced rank k < min(Mn, Hn)), as unconverged.  Each joint
+        L-BFGS-B solve runs at history 10, gtol 1e-8 and at most 1000
+        iterations; the Gram path's block solves are exact.
     seed: drives the random entries of the initial factors.
     init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
         with k0 <= k.  The fit starts from these columns widened to k by
@@ -79,7 +78,6 @@ class FitOptions:
     k: int = 20
     max_outer: int = 100
     obj_tol: float = 1e-8
-    grad_tol: float = 1e-8
     seed: int = 0
     init: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -96,12 +94,11 @@ class FitReport:
     On the Gram path (squared l2, kappa = 0, lam > 0, W absent or rank one)
     converged means the KKT certificate max(r1, r2, r3) <= CERT_TOL * lam
     held, or theta = 0 was certified without sweeps; iterations counts one
-    per closed-form block solve, two per sweep, and objective_trace has
-    the start and one entry per half sweep.  On the L-BFGS path converged
-    means the objective stalled below opts.obj_tol, iterations counts
-    L-BFGS iterations, and the trace has one entry per sweep after the
-    start.  An l1 trace holds the objective of _smooth_l1's smoothing,
-    which lies within Hn d / 2 below the l1 objective.
+    per closed-form block solve, two per sweep.  On the L-BFGS path
+    converged means the objective stalled below opts.obj_tol and iterations
+    counts L-BFGS iterations.  On both, objective_trace holds the start and
+    one entry per sweep.  An l1 trace holds the objective of _smooth_l1's
+    smoothing, which lies within Hn d / 2 below the l1 objective.
     """
 
     objective_trace: list[float]
@@ -184,13 +181,11 @@ def reduce_rank(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Reduced, balanced factors of the product U V plus its SVD.
 
-    Computes the compact SVD of theta = U V from two factor-sized SVDs
-    (never forming theta): with U = Uu Su Vu^T and V = Uv Sv Vv^T, the
-    small core A = Su Vu^T Uv Sv has SVD Ua Sa Va^T, and
+    Computes the compact SVD of theta = U V from one QR and one
+    factor-sized SVD (never forming theta): with U = Q R and
+    R V = Ua S Vt, theta = (Q Ua) S Vt.
 
-        theta = (Uu Ua) Sa (Vv Va)^T.
-
-    Singular values at or below tol * max(Sa) are dropped.  Returns
+    Singular values at or below tol * max(S) are dropped.  Returns
     (U_r, V_r, (U_theta, sigma, V_theta)) with U_r = U_theta sqrt(sigma)
     and V_r = sqrt(sigma) V_theta^T, so U_r V_r = theta and the factors
     are balanced.
@@ -206,15 +201,10 @@ def reduce_rank(
     if k == 0 or not (U.any() and V.any()):
         empty = np.zeros((0,))
         return np.zeros((m, 0)), np.zeros((0, h)), (np.zeros((m, 0)), empty, np.zeros((h, 0)))
-    Uu, su, Vut = np.linalg.svd(U, full_matrices=False)
-    Uv, sv, Vvt = np.linalg.svd(V, full_matrices=False)
-    A = (su[:, None] * Vut) @ (Uv * sv[None, :])
-    Ua, sa, Vat = np.linalg.svd(A, full_matrices=False)
-    smax = sa[0] if sa.size else 0.0
-    r = int(np.sum(sa > tol * smax)) if smax > 0 else 0
-    Ua, sa, Va = Ua[:, :r], sa[:r], Vat[:r].T
-    U_theta = Uu @ Ua
-    V_theta = Vvt.T @ Va
+    Q, Ru = np.linalg.qr(U)
+    Ua, sa, Vat = np.linalg.svd(Ru @ V, full_matrices=False)
+    r = int(np.sum(sa > tol * sa[0])) if sa[0] > 0 else 0
+    U_theta, sa, V_theta = Q @ Ua[:, :r], sa[:r], Vat[:r].T
     root = np.sqrt(sa)
     return U_theta * root[None, :], (V_theta * root[None, :]).T, (U_theta, sa, V_theta)
 
@@ -412,9 +402,7 @@ def _gram_fit(
     converged = False
     sweeps = 0
     for sweeps in range(1, opts.max_outer + 1):
-        sweep_start = trace[-1]
         B = solve(K, Cz)
-        trace.append(objective(K, Cz, B, Ut))
         Ut = solve_u(B)
         K, Cz = normal(Ut)
         obj = objective(K, Cz, B, Ut)
@@ -425,7 +413,7 @@ def _gram_fit(
         if worst <= tol:
             converged = True
             break
-        stalled = sweep_start - obj <= opts.obj_tol * max(abs(sweep_start), 1e-300)
+        stalled = trace[-2] - obj <= opts.obj_tol * max(abs(trace[-2]), 1e-300)
         if stalled and rank == k < min(mcols, hcols):
             break
     if sweeps:
@@ -514,7 +502,7 @@ def _fit_arrays(
     obj, _ = _factored_value_grad(x, *args)
     if not np.isfinite(obj):
         raise NumericalError(f"objective is not finite at the initial point ({obj})")
-    lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": opts.grad_tol, "ftol": 1e-16}
+    lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": 1e-8, "ftol": 1e-16}
     trace = [obj]
     total_iters = 0
     converged = False

@@ -549,6 +549,23 @@ def test_config_conflicts_and_unknown_options(small, tmp_path, capsys):
         assert not model_out.exists()
 
 
+def test_grad_tol_is_rejected(small, tmp_path, capsys):
+    # the L-BFGS gradient tolerance is fixed; neither the flag nor the key exists
+    train = str(small / "train.csv")
+    model_out = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        run("fit", "--train", train, "--M", 3, "--H", 2, "--alpha", 0.4,
+            "--grad-tol", 1e-9, "--model-out", model_out)
+    assert exc.value.code == 2
+    assert "--grad-tol" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    dump_json(str(cfg), {"train": train, "M": 3, "H": 2, "alpha": 0.4,
+                         "solver": {"grad_tol": 1e-9}})
+    assert run("fit", "--config", cfg, "--model-out", model_out) == 2
+    assert "unknown solver options: grad_tol" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
 def test_one_config_serves_fit_and_sweep(small, tmp_path):
     cfg = tmp_path / "c.json"
     dump_json(str(cfg), {

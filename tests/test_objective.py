@@ -3,6 +3,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_grad
 from lrforecast import (
@@ -105,6 +107,28 @@ def test_projection_fixes_block_hankel_exactly(rng):
     F = build_windows(x, 4, 5).F
     assert np.array_equal(hankel_project(F, 2), F)
     assert inconsistency(F, 2) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    N=st.integers(1, 9),
+    H=st.integers(1, 6),
+    n=st.integers(1, 3),
+    exponent=st.floats(-6.0, 6.0),
+)
+def test_projection_property(seed, N, H, n, exponent):
+    rng = np.random.default_rng(seed)
+    X, Y = 10.0 ** exponent * rng.normal(size=(2, N, H * n))
+    PX = hankel_project(X, n)
+    assert np.linalg.norm(hankel_project(PX, n) - PX) <= 1e-12 * np.linalg.norm(PX)
+    lhs = float((PX * Y).sum())
+    rhs = float((X * hankel_project(Y, n)).sum())
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(Y)
+    # block Hankel input Z[i, h] = x[i + h] is returned bitwise unchanged
+    x = 10.0 ** exponent * rng.normal(size=(N + H - 1, n))
+    Z = x[np.arange(N)[:, None] + np.arange(H)[None, :]].reshape(N, H * n)
+    assert np.array_equal(hankel_project(Z, n), Z)
 
 
 def test_projection_residual_is_orthogonal(rng):

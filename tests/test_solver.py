@@ -126,6 +126,40 @@ def test_reduce_rank_zero_and_errors(rng):
         reduce_rank(np.zeros((5, 2)), np.zeros((2, 4)), tol=-1.0)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 8),
+    h=st.integers(1, 8),
+    k=st.integers(1, 8),
+    exponents=st.lists(st.floats(-6.0, 6.0), min_size=8, max_size=8),
+    dups=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.booleans()), max_size=3),
+)
+def test_reduce_rank_property(seed, m, h, k, exponents, dups):
+    # columns of U scaled over 10^+-6, some copied (the row of V with them or not)
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(m, k)) * 10.0 ** np.array(exponents[:k])[None, :]
+    V = rng.normal(size=(k, h))
+    for src, dst, with_row in dups:
+        src, dst = src % k, dst % k
+        U[:, dst] = U[:, src]
+        if with_row:
+            V[dst] = V[src]
+    theta = U @ V
+    Ur, Vr, (Ut, sig, Vt) = reduce_rank(U, V)
+    scale = np.linalg.norm(theta, 2)
+    assert np.linalg.norm(Ur @ Vr - theta, 2) <= 1e-7 * scale
+    # balanced: ||U_r||_F^2 = ||V_r||_F^2 = sum(sigma)
+    assert np.isclose(float((Ur * Ur).sum()), sig.sum(), rtol=1e-12)
+    assert np.isclose(float((Vr * Vr).sum()), sig.sum(), rtol=1e-12)
+    assert np.allclose(Ut.T @ Ut, np.eye(sig.size), atol=1e-10)
+    assert np.allclose(Vt.T @ Vt, np.eye(sig.size), atol=1e-10)
+    # sigma is the dense SVD's above the 1e-8 cutoff (values near it may go either way)
+    ref = np.linalg.svd(theta, compute_uv=False)
+    assert np.sum(ref > 2e-8 * scale) <= sig.size <= np.sum(ref > 0.5e-8 * scale)
+    assert np.allclose(sig, ref[: sig.size], rtol=0.0, atol=1e-10 * scale)
+
+
 def test_nuclear_norm_matches_svd(rng):
     A = rng.normal(size=(6, 4))
     assert np.isclose(nuclear_norm(A), np.linalg.svd(A, compute_uv=False).sum())
@@ -146,6 +180,19 @@ def test_objective_trace_nonincreasing(rng):
     assert report.converged
     # kappa > 0 takes the joint L-BFGS solve: one trace entry per sweep
     assert len(t) == report.sweeps + 1
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+def test_objective_trace_is_start_plus_one_entry_per_sweep(rng, kappa):
+    # kappa = 0 squared l2 takes the Gram path, kappa > 0 the joint L-BFGS solve
+    data = rand_instance(rng, N=25)
+    lam = 0.05 * lambda_max(data.P, data.F)
+    _, report = fit_factored(data, lam, kappa=kappa, opts=FitOptions(k=4, max_outer=400))
+    t = np.array(report.objective_trace)
+    assert report.sweeps >= 2
+    assert len(t) == report.sweeps + 1
+    assert np.all(t[1:] <= t[:-1] + 1e-12 * np.abs(t[:-1]))
+    assert report.final_objective == t[-1]
 
 
 def test_fit_is_deterministic(rng):
