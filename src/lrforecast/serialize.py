@@ -1,16 +1,31 @@
 """File formats: series CSV, model/trend/state-space JSON, sweep CSV.
 
-CSV: first line is a header; an optional leading column named `t` holds a
-consecutive integer time index; remaining columns are series components.
-Values are written with 17 significant digits so a write/read round trip
-is exact for doubles.  JSON documents are dumped with sorted keys and a
-fixed indent so identical inputs produce bytewise-identical files.
+Series CSV bytes, as written: a header row quoted as csv.writer quotes
+(a name holding a comma, quote or line break is double-quoted), then one
+row per time step.  An optional leading column named `t` holds the integer
+time index, consecutive from the series' t0; the other columns hold the
+values, each formatted "%.17g" so a write/read round trip is exact for
+doubles.  Fields are comma separated and every line ends in CRLF.
+
+Series CSVs are read with csv.reader, so quoted fields and CR, LF or CRLF
+line ends are accepted, as is a leading UTF-8 byte order mark.  Cells are
+parsed by int() (the t index) and float() (values), which accept
+surrounding whitespace and digit underscores.  A wrong field count, a
+non-consecutive t, or a value that is not a finite number is rejected
+with a ValueError naming the first offending line.
+
+JSON documents are dumped with sorted keys and a fixed indent so
+identical inputs produce bytewise-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
+from collections.abc import Iterable
+from typing import NoReturn
 
 import numpy as np
 
@@ -42,23 +57,36 @@ def load_json(path: str):
 
 
 def write_series_csv(path: str, series: TimeSeries, include_t: bool = True) -> None:
-    names = series.column_names()
+    t = range(series.t0, series.t0 + series.T) if include_t else None
+    _write_csv(path, series.column_names(), series.values, t)
+
+
+def _write_csv(
+    path: str, names: list[str], values: np.ndarray, t: Iterable[int] | None = None
+) -> None:
+    # csv.writer quotes the header as needed.  No formatted number needs
+    # quoting, so the body is one "%" format of the whole table, written
+    # with csv.writer's CRLF line ends.
+    header = list(names)
+    fields = ["%.17g"] * values.shape[1]
+    rows = values.tolist()
+    if t is not None:
+        header.insert(0, "t")
+        fields.insert(0, "%d")
+        rows = [[ti, *row] for ti, row in zip(t, rows)]
+    line = ",".join(fields) + "\r\n"
+    body = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow((["t"] + list(names)) if include_t else list(names))
-        for i, row in enumerate(series.values):
-            cells = [_fmt(v) for v in row]
-            if include_t:
-                cells = [str(series.t0 + i)] + cells
-            w.writerow(cells)
+        csv.writer(fh).writerow(header)
+        fh.write(body)
 
 
 def read_series_csv(path: str) -> TimeSeries:
-    """Parses a series CSV, validating field counts and the t index.
+    """Parses a series CSV, validating field counts, the t index and values.
 
-    Malformed rows raise ValueError naming the offending line number.
+    Malformed rows raise ValueError naming the first offending line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -69,50 +97,79 @@ def read_series_csv(path: str) -> TimeSeries:
     names = header[1:] if has_t else header
     if not names:
         raise ValueError(f"{path}: header has no value columns")
-    values = []
+    body = rows[1:]
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    parsed = _parse_body(body, len(header), has_t)
+    if parsed is None:
+        _raise_first_error(path, body, len(header), has_t)
+    values, t0 = parsed
+    return TimeSeries(values, names=tuple(names), t0=t0)
+
+
+def _parse_body(body: list[list[str]], width: int, has_t: bool):
+    """(values, t0) for a well-formed body, else None.
+
+    numpy converts each str cell with float(), so the values parse as the
+    error scan parses them.
+    """
+    if {len(row) for row in body} != {width}:
+        return None
     t0 = 1
+    try:
+        if has_t:
+            t = [int(row[0]) for row in body]
+            t0 = t[0]
+            if t != list(range(t0, t0 + len(t))):
+                return None
+        # every int() literal is also a float() literal, so the t column
+        # parses here too
+        values = np.array(body, dtype=float)
+    except ValueError:
+        return None
+    if has_t:
+        # a C-contiguous copy: numpy may sum a strided view in another order
+        values = np.ascontiguousarray(values[:, 1:])
+    if not np.isfinite(values).all():
+        return None
+    return values, t0
+
+
+def _raise_first_error(
+    path: str, body: list[list[str]], width: int, has_t: bool
+) -> NoReturn:
+    """Raises ValueError naming the first malformed row of a body that
+    _parse_body rejected.  Each row is checked for its field count, then
+    its t index, then its values from left to right."""
     prev_t = None
-    for k, row in enumerate(rows[1:]):
-        line = k + 2
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
-            )
-        cells = [c.strip() for c in row]
+    for line, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
         if has_t:
             try:
-                t = int(cells[0])
+                t = int(row[0])
             except ValueError:
                 raise ValueError(
-                    f"{path}: line {line}: t index {cells[0]!r} is not an integer"
+                    f"{path}: line {line}: t index {row[0].strip()!r} is not an integer"
                 ) from None
-            if prev_t is None:
-                t0 = t
-            elif t != prev_t + 1:
+            if prev_t is not None and t != prev_t + 1:
                 raise ValueError(
                     f"{path}: line {line}: t index {t} is not consecutive "
                     f"(previous was {prev_t})"
                 )
             prev_t = t
-            cells = cells[1:]
-        try:
-            values.append([float(c) for c in cells])
-        except ValueError:
-            bad = next(c for c in cells if not _is_float(c))
-            raise ValueError(
-                f"{path}: line {line}: value {bad!r} is not a number"
-            ) from None
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    return TimeSeries(np.array(values, dtype=float), names=tuple(names), t0=t0)
-
-
-def _is_float(c: str) -> bool:
-    try:
-        float(c)
-        return True
-    except ValueError:
-        return False
+            row = row[1:]
+        for cell in row:
+            try:
+                x = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {line}: value {cell.strip()!r} is not a number"
+                ) from None
+            if not math.isfinite(x):
+                raise ValueError(
+                    f"{path}: line {line}: value {cell.strip()!r} is not finite"
+                )
 
 
 def write_matrix_csv(
@@ -122,16 +179,11 @@ def write_matrix_csv(
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if len(names) != values.shape[1]:
         raise ValueError("one name per column required")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        if t_index is not None:
-            w.writerow(["t"] + list(names))
-            for t, row in zip(t_index, values):
-                w.writerow([str(int(t))] + [_fmt(v) for v in row])
-        else:
-            w.writerow(list(names))
-            for row in values:
-                w.writerow([_fmt(v) for v in row])
+    if t_index is not None:
+        t_index = np.asarray(t_index).tolist()
+        if len(t_index) != values.shape[0]:
+            raise ValueError("one t index per row required")
+    _write_csv(path, names, values, t_index)
 
 
 # ----------------------------------------------------------------- model JSON
@@ -280,7 +332,7 @@ def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
 
 
 def read_sweep_csv(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != list(SWEEP_CSV_COLUMNS):

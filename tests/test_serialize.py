@@ -6,10 +6,14 @@ repr-exact floats for JSON).  Error cases pin the message contract that
 malformed input names the offending line.
 """
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lrforecast.baselines import StateSpaceModel
 from lrforecast.core import TimeSeries
@@ -69,6 +73,11 @@ def make_model(rank=2, loss=None, n=2, M=3, H=2, seed=0):
     )
 
 
+def draw_matrix(data, *shape):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return data.draw(arrays(np.float64, shape, elements=finite))
+
+
 def assert_models_equal(a, b):
     assert np.array_equal(a.U, b.U)
     assert np.array_equal(a.V, b.V)
@@ -119,6 +128,12 @@ def test_series_csv_header_line(tmp_path):
         ("t,a,b\n", "no data rows"),
         ("", "empty file"),
         ("t,,b\n1,0.5,1.0\n", "blank column name"),
+        # the first offending line is named, whatever comes after it
+        ("t,a,b\n1, oops ,1.0\n2,0.5,1.0\n3,0.5,1.0\n4,0.5\n",
+         "line 2: value 'oops' is not a number"),
+        ("t,a,b\n1,0.5,1.0\n2,nan,1.0\n3,0.5\n", "line 3: value 'nan' is not finite"),
+        ("a\n1.5\n1e999\n", "line 3: value '1e999' is not finite"),
+        ("a,b\n-Infinity,oops\n", "line 2: value '-Infinity' is not finite"),
     ],
 )
 def test_series_csv_rejects_malformed_input(tmp_path, body, fragment):
@@ -127,6 +142,100 @@ def test_series_csv_rejects_malformed_input(tmp_path, body, fragment):
         fh.write(body)
     with pytest.raises(ValueError, match=fragment):
         read_series_csv(path)
+
+
+def test_series_csv_cell_parsing(tmp_path):
+    # cells go through int()/float(): padding, csv quotes and digit
+    # underscores are accepted, as are CR, LF and CRLF line ends
+    path = str(tmp_path / "x.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(' t , a ,"b"\r\n" -3", 0.5 ,"2.5"\n-2,1_0,\t-3\r')
+    back = read_series_csv(path)
+    assert back.names == ("a", "b") and back.t0 == -3
+    assert np.array_equal(back.values, [[0.5, 2.5], [10.0, -3.0]])
+
+
+def test_csv_readers_accept_utf8_bom(tmp_path):
+    path = str(tmp_path / "x.csv")
+    with open(path, "wb") as fh:
+        fh.write(b"\xef\xbb\xbft,a,b\r\n5,1,2\r\n")
+    back = read_series_csv(path)
+    assert back.names == ("a", "b") and back.t0 == 5
+    assert np.array_equal(back.values, [[1.0, 2.0]])
+    write_sweep_csv(path, sweep_rows())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(b"\xef\xbb\xbf" + raw)
+    assert read_sweep_csv(path)[0]["rank"] == 3
+
+
+def reference_series_csv(path, series, include_t=True):
+    # the per-cell writer both CSV writers must reproduce byte for byte
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        names = series.column_names()
+        w.writerow((["t"] + names) if include_t else names)
+        for i, row in enumerate(series.values):
+            cells = ["%.17g" % v for v in row]
+            if include_t:
+                cells = [str(series.t0 + i)] + cells
+            w.writerow(cells)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+AWKWARD = np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5e-310, 0.1, 7.0])
+
+
+@pytest.mark.parametrize(
+    "shape, t0, names",
+    [
+        ((1, 1), 1, None),
+        ((1, 8), -5, None),
+        ((8, 1), 10**15, ("a,b",)),
+        ((4, 2), 0, ('q"x', " pad ")),
+        ((2, 4), -(10**12), ("a,b", 'q"x', "t", "\u00e9")),
+    ],
+)
+@pytest.mark.parametrize("include_t", [True, False])
+def test_csv_writers_match_per_cell_reference(tmp_path, shape, t0, names, include_t):
+    series = TimeSeries(AWKWARD[: shape[0] * shape[1]].reshape(shape), names=names, t0=t0)
+    want, got = str(tmp_path / "want.csv"), str(tmp_path / "got.csv")
+    reference_series_csv(want, series, include_t)
+    write_series_csv(got, series, include_t)
+    assert read_bytes(got) == read_bytes(want)
+    t_index = np.arange(t0, t0 + series.T) if include_t else None
+    write_matrix_csv(got, series.values, series.column_names(), t_index=t_index)
+    assert read_bytes(got) == read_bytes(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    T=st.integers(1, 6),
+    n=st.integers(1, 4),
+    t0=st.integers(-(10**15), 10**15),
+    include_t=st.booleans(),
+)
+def test_series_csv_round_trip_property(tmp_path_factory, data, T, n, t0, include_t):
+    values = draw_matrix(data, T, n)
+    name = st.text("ab,\"' \u00e9\n", min_size=1).filter(lambda s: s == s.strip() != "t")
+    names = tuple(data.draw(st.lists(name, min_size=n, max_size=n)))
+    path = str(tmp_path_factory.mktemp("csv") / "x.csv")
+    write_series_csv(path, TimeSeries(values, names=names, t0=t0), include_t)
+    back = read_series_csv(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert back.names == names
+    assert back.t0 == (t0 if include_t else 1)
+
+
+def test_matrix_csv_needs_one_t_per_row(tmp_path):
+    with pytest.raises(ValueError, match="one t index per row"):
+        write_matrix_csv(str(tmp_path / "m.csv"), np.eye(2), ["a", "b"], t_index=[1])
 
 
 def test_matrix_csv_round_trips_through_series_reader(tmp_path):
@@ -195,6 +304,59 @@ def test_model_json_with_trend_and_aux_blocks(tmp_path):
     assert bundle.trend.features == feats
     assert np.array_equal(bundle.phi, phi)
     assert bundle.aux_features == feats
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    rank=st.integers(0, 3),
+    n=st.integers(1, 3),
+    M=st.integers(1, 3),
+    H=st.integers(1, 3),
+    loss=st.sampled_from([Loss(), Loss("l1"), Loss("huber", delta=0.3)]),
+    features=st.sampled_from([None, FeatureSpec(periods=(24.0, 7.5), weekday=True)]),
+    with_trend=st.booleans(),
+    p=st.integers(0, 3),
+)
+def test_model_json_round_trip_property(
+    tmp_path_factory, data, rank, n, M, H, loss, features, with_trend, p
+):
+    def mat(*shape):
+        return draw_matrix(data, *shape)
+
+    nonneg = st.floats(0.0, 1e300)
+    model = LowRankForecaster(
+        U=mat(M * n, rank), V=mat(rank, H * n), singular_values=mat(rank),
+        n=n, M=M, H=H, lam=data.draw(nonneg), kappa=data.draw(nonneg),
+        loss=loss, means=mat(n),
+    )
+    trend = None
+    if with_trend:
+        trend = TrendModel(S=mat(n, 3), lam=data.draw(nonneg), features=features)
+    phi = mat(p, H * n) if p else None
+    d = tmp_path_factory.mktemp("json")
+    first, second = str(d / "a.json"), str(d / "b.json")
+    save_model_json(first, model, trend=trend, phi=phi, aux_features=features if p else None)
+    bundle = load_model_json(first)
+    back = bundle.model
+    for a, b in ((back.U, model.U), (back.V, model.V), (back.means, model.means),
+                 (back.singular_values, model.singular_values)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (back.n, back.M, back.H, back.loss) == (n, M, H, loss)
+    assert (back.lam, back.kappa) == (model.lam, model.kappa)
+    if trend is None:
+        assert bundle.trend is None
+    else:
+        assert bundle.trend.S.tobytes() == trend.S.tobytes() and bundle.trend.lam == trend.lam
+        assert bundle.trend.features == features
+    if phi is None:
+        assert bundle.phi is None
+    else:
+        assert bundle.phi.tobytes() == phi.tobytes()
+        assert bundle.aux_features == features
+    save_model_json(second, back, trend=bundle.trend, phi=bundle.phi,
+                    aux_features=bundle.aux_features)
+    assert read_bytes(second) == read_bytes(first)
 
 
 def test_model_json_missing_fields(tmp_path):
