@@ -135,11 +135,15 @@ def ridge_fit(data: WindowedDataset, lam: float, means: np.ndarray | None = None
     """theta = (P^T P + N lam I)^{-1} P^T F; requires lam > 0 or P^T P nonsingular."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    P, F = data.P, data.F
-    A = P.T @ P + data.N * lam * np.eye(P.shape[1])
-    chol = _spd_cholesky(A, "normal equations are singular at lam=0; pass lam > 0")
-    theta = _chol_solve(chol, P.T @ F)
+    theta = _ridge_solve(data.P, data.F, data.N * lam,
+                         "normal equations are singular at lam=0; pass lam > 0")
     return FullForecaster(theta=theta, n=data.n, M=data.M, H=data.H, means=means)
+
+
+def _ridge_solve(X: np.ndarray, Y: np.ndarray, c: float, msg: str) -> np.ndarray:
+    """(X^T X + c I)^{-1} X^T Y by Cholesky; NumericalError(msg) when singular."""
+    chol = _spd_cholesky(X.T @ X + c * np.eye(X.shape[1]), msg)
+    return _chol_solve(chol, X.T @ Y)
 
 
 def _chol_solve(chol: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -239,9 +243,8 @@ def ar_fit(
     windows = build_windows(series, M, 1)
     X, Y = windows.P, windows.F
     n, N = series.n, windows.N
-    G = X.T @ X + N * lam * np.eye(M * n)
-    chol = _spd_cholesky(G, "AR normal equations are singular; pass lam > 0")
-    B = _chol_solve(chol, X.T @ Y)  # Mn x n, block j multiplies x_{t-M+1+j}
+    # Mn x n, block j multiplies x_{t-M+1+j}
+    B = _ridge_solve(X, Y, N * lam, "AR normal equations are singular; pass lam > 0")
     A_list = [B[(M - i) * n : (M - i + 1) * n].T for i in range(1, M + 1)]
     resid = Y - X @ B
     W = resid.T @ resid / N

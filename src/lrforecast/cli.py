@@ -56,7 +56,7 @@ from .solver import FitOptions, NumericalError, fit_auto_rank, lambda_max
 # Every config key and the flag dest it fills; a dict is a nested group.
 # The solver group comes before the top-level seed, so solver.seed wins.
 CONFIG_KEYS = {
-    "solver": {k: k for k in ("k", "max_outer", "obj_tol", "seed")},
+    "solver": {k: k for k in ("k", "max_outer", "seed")},
     "loss": {"kind": "loss", "delta": "delta"},  # or a bare kind string
     "features": {k: k for k in ("periods", "weekday", "products", "joint_nuclear")},
     "weights": {"h_t": "weight_h_t", "h_tau": "weight_h_tau", "w_col": "weight_col"},
@@ -399,8 +399,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="initial factor width")
     p.add_argument("--max-outer", dest="max_outer", type=int,
                    help="max solver sweeps (closed-form V/U passes or L-BFGS restarts)")
-    p.add_argument("--obj-tol", dest="obj_tol", type=float,
-                   help="relative objective decrease stop")
     p.add_argument("--seed", type=int, help="factor initialization seed")
     p.add_argument("--config", help="JSON config file; flags override it")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import _chol_solve, _spd_cholesky
+from .baselines import _ridge_solve
 from .core import TimeSeries, WindowedDataset, center
 from .objective import Loss
 from .solver import FitOptions, FitReport, LowRankForecaster, _fit_design
@@ -143,9 +143,8 @@ def detrend_fit(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     A = _aux_rows(series, features, aux)
-    G = A.T @ A + series.T * lam * np.eye(A.shape[1])
-    chol = _spd_cholesky(G, "aux features are rank deficient at lam=0; pass lam > 0")
-    St = _chol_solve(chol, A.T @ series.values)
+    St = _ridge_solve(A, series.values, series.T * lam,
+                      "aux features are rank deficient at lam=0; pass lam > 0")
     return TrendModel(S=St.T, lam=lam, features=features)
 
 
@@ -231,9 +230,7 @@ def latent_ar_fit(Z: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, np.nd
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
     X, Y = Z[:-1], Z[1:]
-    G = X.T @ X + jitter * np.eye(Z.shape[1])
-    chol = _spd_cholesky(G, "state regression is singular; pass jitter > 0")
-    B = _chol_solve(chol, X.T @ Y)
+    B = _ridge_solve(X, Y, jitter, "state regression is singular; pass jitter > 0")
     resid = Y - X @ B
     W = resid.T @ resid / X.shape[0]
     return B.T, W

@@ -38,10 +38,6 @@ from .solver import LowRankForecaster
 from .simgen import SimSpec
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def dump_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -312,34 +308,33 @@ def ss_from_json(doc: dict) -> StateSpaceModel:
 
 
 def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SWEEP_CSV_COLUMNS)
-        for r in rows:
-            w.writerow(
-                [
-                    _fmt(r.alpha),
-                    _fmt(r.kappa),
-                    _fmt(r.lam),
-                    str(r.rank),
-                    _fmt(r.train_loss),
-                    _fmt(r.test_loss),
-                    _fmt(r.train_inconsistency),
-                    _fmt(r.test_inconsistency),
-                    _fmt(r.wall_time_s),
-                ]
-            )
+    # every cell "%.17g", which prints the integer rank (-1 if failed) as its digits
+    cells = [[r.alpha, r.kappa, r.lam, r.rank, r.train_loss, r.test_loss,
+              r.train_inconsistency, r.test_inconsistency, r.wall_time_s] for r in rows]
+    values = np.array(cells, dtype=float).reshape(-1, len(SWEEP_CSV_COLUMNS))
+    _write_csv(path, list(SWEEP_CSV_COLUMNS), values)
 
 
 def read_sweep_csv(path: str) -> list[dict]:
+    """Sweep rows as dicts, rank an int.  A wrong field count, a cell float()
+    rejects (nan passes) or a non-integer rank raises ValueError naming the line."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != list(SWEEP_CSV_COLUMNS):
             raise ValueError(f"{path}: unexpected sweep header {header}")
         out = []
-        for row in reader:
-            rec = dict(zip(header, (float(c) for c in row)))
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                rec = dict(zip(header, map(float, row)))
+            except ValueError as e:
+                raise ValueError(f"{path}: line {line}: {e}") from None
+            if not rec["rank"].is_integer():
+                raise ValueError(f"{path}: line {line}: rank {rec['rank']!r} is not an integer")
             rec["rank"] = int(rec["rank"])
             out.append(rec)
     return out

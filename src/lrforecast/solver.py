@@ -23,7 +23,7 @@ certificate of optimality_residuals, evaluated from the same statistics.
 Every other fit (kappa > 0, Huber, l1 through its Huber smoothing, a W
 that is not rank one, lam = 0) minimizes over all factors at once with
 limited-memory BFGS, as in the Burer-Monteiro factored method, and stops
-when the objective stalls between restarts.
+when the objective stalls between restarts (_stalled).
 
 An independent proximal-gradient reference solver (singular value
 soft-thresholding on the dense matrix) is included for certification.
@@ -46,6 +46,8 @@ from .objective import (
 
 # a Gram-path fit is certified once max(r1, r2, r3) <= CERT_TOL * lam
 CERT_TOL = 1e-6
+# a sweep that lowers the objective by at most STALL_TOL relative has stalled
+STALL_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -59,13 +61,9 @@ class FitOptions:
     k: factor width (inner dimension); must not exceed min(Mn, Hn).
     max_outer: maximum number of sweeps.  A Gram-path sweep solves V then
         U; an L-BFGS sweep is one joint solve over [U; V; Phi], restarted
-        from the last iterate.
-    obj_tol: an L-BFGS fit stops when the relative objective decrease over
-        a sweep falls below this.  A Gram-path fit stops on its KKT
-        certificate instead; the stall ends it only when the width binds
-        (reduced rank k < min(Mn, Hn)), as unconverged.  Each joint
-        L-BFGS-B solve runs at history 10, gtol 1e-8 and at most 1000
-        iterations; the Gram path's block solves are exact.
+        from the last iterate.  The stopping rules are fixed (see FitReport).
+        Each joint L-BFGS-B solve runs at history 10, gtol 1e-8 and at most
+        1000 iterations; the Gram path's block solves are exact.
     seed: drives the random entries of the initial factors.
     init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
         with k0 <= k.  The fit starts from these columns widened to k by
@@ -77,7 +75,6 @@ class FitOptions:
 
     k: int = 20
     max_outer: int = 100
-    obj_tol: float = 1e-8
     seed: int = 0
     init: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -93,12 +90,14 @@ class FitReport:
 
     On the Gram path (squared l2, kappa = 0, lam > 0, W absent or rank one)
     converged means the KKT certificate max(r1, r2, r3) <= CERT_TOL * lam
-    held, or theta = 0 was certified without sweeps; iterations counts one
-    per closed-form block solve, two per sweep.  On the L-BFGS path
-    converged means the objective stalled below opts.obj_tol and iterations
-    counts L-BFGS iterations.  On both, objective_trace holds the start and
-    one entry per sweep.  An l1 trace holds the objective of _smooth_l1's
-    smoothing, which lies within Hn d / 2 below the l1 objective.
+    held, or theta = 0 was certified without sweeps; a width-bound fit
+    (reduced rank k < min(Mn, Hn)) also stops, unconverged, once a sweep
+    lowers the objective by at most STALL_TOL relative.  iterations counts
+    one per closed-form block solve, two per sweep.  On the L-BFGS path
+    converged means that stall, and iterations counts L-BFGS iterations.
+    On both, objective_trace holds the start and one entry per sweep.  An
+    l1 trace holds the objective of _smooth_l1's smoothing, which lies
+    within Hn d / 2 below the l1 objective.
     """
 
     objective_trace: list[float]
@@ -304,6 +303,28 @@ def _rank_one_weights(
     return a, b
 
 
+def _stalled(trace: list[float]) -> bool:
+    """True when the last sweep lowered the objective by at most STALL_TOL relative."""
+    return trace[-2] - trace[-1] <= STALL_TOL * max(abs(trace[-2]), 1e-300)
+
+
+def _kkt_residuals(G, U_theta, V_theta, lam, gPhi=None, Phi=None, r1_gate=math.inf):
+    """optimality_residuals' (r1, r2, r3) at the smooth gradient G in theta.
+
+    A ridge block's gradient gPhi in Phi joins r2.  r1's SVD runs only once
+    max(r2, r3) <= r1_gate; r1 is inf otherwise.  G and U_theta may share
+    an orthonormal change of row basis, such as the Gram path's.
+    """
+    r2 = float(np.linalg.norm(U_theta.T @ G + lam * V_theta.T))
+    if gPhi is not None:
+        r2 = math.hypot(r2, float(np.linalg.norm(gPhi + lam * Phi)))
+    r3 = float(np.linalg.norm(G @ V_theta + lam * U_theta))
+    r1 = math.inf
+    if max(r2, r3) <= r1_gate:
+        r1 = max(0.0, _spectral_norm(G + lam * (U_theta @ V_theta.T)) - lam)
+    return r1, r2, r3
+
+
 def _gram_fit(
     P: np.ndarray, F: np.ndarray, R: np.ndarray | None,
     weights: tuple[np.ndarray | None, np.ndarray],
@@ -319,9 +340,9 @@ def _gram_fit(
     Z = [P U, R], for every column of [V; Phi] with one eigh; the U-step
     solves the Sylvester equation G U (V D_b^2 V^T) + (N lam / 2) U =
     (C - G_PR Phi) D_b^2 V^T with G's eigenbasis and one k x k eigh.  After
-    every sweep the certificate of optimality_residuals is taken from the
-    smooth gradient (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3 each
-    sweep, the spectral-norm r1 once those pass.  The objective stall ends
+    every sweep _kkt_residuals' certificate is taken from the smooth
+    gradient (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3 each sweep, the
+    spectral-norm r1 once those pass.  The objective stall (_stalled) ends
     the fit only when the width binds, as unconverged.  Returns
     _fit_arrays' tuple.
     """
@@ -372,18 +393,12 @@ def _gram_fit(
         _, _, (Uth, sigma, Vth) = reduce_rank(Ut, V)
         theta = (Uth * sigma) @ Vth.T
         Gt = g[:, None] * theta - C
+        gR = None
         if p:
             Gt += GPR @ Phi
-        Gt *= (2.0 / N) * b2
-        r2 = float(np.linalg.norm(Uth.T @ Gt + lam * Vth.T))
-        if p:
             gR = (2.0 / N) * (GPR.T @ theta + GRR @ Phi - CR) * b2
-            r2 = math.hypot(r2, float(np.linalg.norm(gR + lam * Phi)))
-        r3 = float(np.linalg.norm(Gt @ Vth + lam * Uth))
-        worst = max(r2, r3)
-        if worst <= tol:
-            worst = max(worst, _spectral_norm(Gt + lam * (Uth @ Vth.T)) - lam)
-        return worst, sigma.size
+        Gt *= (2.0 / N) * b2
+        return max(_kkt_residuals(Gt, Uth, Vth, lam, gR, Phi, r1_gate=tol)), sigma.size
 
     def solve_u(B):
         V, Phi = B[:k], B[k:]
@@ -410,11 +425,8 @@ def _gram_fit(
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite after sweep {sweeps}")
         worst, rank = certificate(Ut, B)
-        if worst <= tol:
-            converged = True
-            break
-        stalled = trace[-2] - obj <= opts.obj_tol * max(abs(trace[-2]), 1e-300)
-        if stalled and rank == k < min(mcols, hcols):
+        converged = worst <= tol
+        if converged or rank == k < min(mcols, hcols) and _stalled(trace):
             break
     if sweeps:
         U = Q @ Ut
@@ -438,10 +450,10 @@ def _fit_arrays(
     _gram_fit's exact alternating solves.  Every other fit minimizes
     _factored_value_grad over all of x = [U; V; Phi]: a sweep is one
     L-BFGS-B solve restarted from the last iterate, and the fit ends,
-    converged, once a sweep lowers the objective by at most opts.obj_tol
-    relative.  l1 is swapped for _smooth_l1's smoothing at entry.  Both
-    engines share the validation, the initial factors and the zero exit
-    above lambda_max.
+    converged, once a sweep lowers the objective by at most STALL_TOL
+    relative (_stalled).  l1 is swapped for _smooth_l1's smoothing at
+    entry.  Both engines share the validation, the initial factors and the
+    zero exit above lambda_max.
 
     R (N x p, optional) adds regressors outside the factorization: the
     forecast becomes P U V + R Phi, and their coefficients Phi (p x Hn)
@@ -504,9 +516,8 @@ def _fit_arrays(
         raise NumericalError(f"objective is not finite at the initial point ({obj})")
     lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": 1e-8, "ftol": 1e-16}
     trace = [obj]
-    total_iters = 0
+    total_iters = sweeps = 0
     converged = False
-    sweeps = 0
     for sweeps in range(1, opts.max_outer + 1):
         res = minimize(_factored_value_grad, x, args=args, jac=True, method="L-BFGS-B",
                        options=lbfgs_opts)
@@ -515,7 +526,7 @@ def _fit_arrays(
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite after sweep {sweeps}")
         trace.append(obj)
-        if trace[-2] - obj <= opts.obj_tol * max(abs(trace[-2]), 1e-300):
+        if _stalled(trace):
             converged = True
             break
     B = x[mcols * k :].reshape(k + p, hcols)
@@ -683,13 +694,8 @@ def _residuals_from_svd(
     if R is not None:
         Fhat = Fhat + R @ Phi
     _, Gf = _forecast_value_grad(Fhat, F, n, loss, W, kappa)
-    G = P.T @ Gf
-    r1 = max(0.0, _spectral_norm(G + lam * (U_theta @ V_theta.T)) - lam)
-    r2 = float(np.linalg.norm(U_theta.T @ G + lam * V_theta.T))
-    if R is not None:
-        r2 = math.hypot(r2, float(np.linalg.norm(R.T @ Gf + lam * Phi)))
-    r3 = float(np.linalg.norm(G @ V_theta + lam * U_theta))
-    return (r1, r2, r3)
+    gR = None if R is None else R.T @ Gf
+    return _kkt_residuals(P.T @ Gf, U_theta, V_theta, lam, gR, Phi)
 
 
 def optimality_residuals(

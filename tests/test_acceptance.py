@@ -252,7 +252,7 @@ def test_c2_projection_and_inconsistency_invariants():
 def test_c3_factored_solver_matches_convex_reference():
     t0 = time.perf_counter()
     combos = [(0.1, 0.0), (0.3, 0.0), (0.7, 0.0), (0.1, 1.0), (0.3, 1.0), (0.7, 1.0)]
-    opts = FitOptions(k=8, obj_tol=0.0, max_outer=2000, seed=0)
+    opts = FitOptions(k=8, max_outer=2000, seed=0)
     loss = Loss()
     worst_obj = worst_res = 0.0
     for i in range(20):
@@ -322,7 +322,7 @@ def test_c5_balanced_factorization():
     factors.  It is zero exactly when the raw factors attain the nuclear
     norm, which forces them to balance too.
     """
-    opts = FitOptions(k=6, obj_tol=0.0, max_outer=2000, seed=0)
+    opts = FitOptions(k=6, max_outer=2000, seed=0)
     loss = Loss()
     imbalance, energy_gap, iterate_gap = [], [], []
     for i in range(8):

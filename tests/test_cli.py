@@ -566,6 +566,30 @@ def test_grad_tol_is_rejected(small, tmp_path, capsys):
     assert not model_out.exists()
 
 
+def test_obj_tol_is_rejected(small, tmp_path, capsys):
+    # the solver's stall threshold is fixed; neither the flag nor the key exists
+    train, test = str(small / "train.csv"), str(small / "test.csv")
+    model_out, sweep_out = tmp_path / "m.json", tmp_path / "s.csv"
+    for argv in (
+        ("fit", "--train", train, "--M", 3, "--H", 2, "--alpha", 0.4,
+         "--obj-tol", 0.0, "--model-out", model_out),
+        ("sweep", "--train", train, "--test", test, "--M", 3, "--H", 2,
+         "--alphas", 0.4, "--obj-tol", 0.0, "--out", sweep_out),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "--obj-tol" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    dump_json(str(cfg), {"train": train, "test": test, "M": 3, "H": 2, "alpha": 0.4,
+                         "alphas": [0.4], "solver": {"obj_tol": 0.0}})
+    assert run("fit", "--config", cfg, "--model-out", model_out) == 2
+    assert "unknown solver options: obj_tol" in capsys.readouterr().err
+    assert run("sweep", "--config", cfg, "--out", sweep_out) == 2
+    assert "unknown solver options: obj_tol" in capsys.readouterr().err
+    assert not model_out.exists() and not sweep_out.exists()
+
+
 def test_one_config_serves_fit_and_sweep(small, tmp_path):
     cfg = tmp_path / "c.json"
     dump_json(str(cfg), {

@@ -8,6 +8,7 @@ malformed input names the offending line.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -514,6 +515,59 @@ def test_sweep_csv_rejects_foreign_header(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("alpha,kappa\n0.1,0.0\n")
     with pytest.raises(ValueError, match="unexpected sweep header"):
+        read_sweep_csv(path)
+
+
+def reference_sweep_csv(path, rows):
+    # the per-cell writer write_sweep_csv must reproduce byte for byte
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(SWEEP_CSV_COLUMNS)
+        for r in rows:
+            w.writerow(["%.17g" % r.alpha, "%.17g" % r.kappa, "%.17g" % r.lam, str(r.rank)]
+                       + ["%.17g" % x for x in (r.train_loss, r.test_loss, r.train_inconsistency,
+                                                r.test_inconsistency, r.wall_time_s)])
+
+
+@pytest.mark.parametrize("case", ["rows", "subnormal", "empty"])
+def test_sweep_csv_writer_matches_per_cell_reference(tmp_path, case):
+    rows = {
+        "rows": sweep_rows(),  # includes a failed row: rank -1, nan losses
+        "subnormal": [SweepRow(5e-324, -0.0, 2.5e-310, 0, 1e308, -1e308, 1.0 / 3.0, 0.0, 7.0)],
+        "empty": [],
+    }[case]
+    want, got = str(tmp_path / "want.csv"), str(tmp_path / "got.csv")
+    reference_sweep_csv(want, rows)
+    write_sweep_csv(got, rows)
+    assert read_bytes(got) == read_bytes(want)
+
+
+def test_sweep_csv_failed_row_round_trip(tmp_path):
+    path, again = str(tmp_path / "sweep.csv"), str(tmp_path / "again.csv")
+    failed = sweep_rows()[1]
+    write_sweep_csv(path, [failed])
+    (rec,) = read_sweep_csv(path)
+    assert rec["rank"] == -1 and isinstance(rec["rank"], int)
+    assert all(np.isnan(rec[c]) for c in SWEEP_CSV_COLUMNS[4:8])
+    write_sweep_csv(again, [SweepRow(*(rec[c] for c in SWEEP_CSV_COLUMNS))])
+    assert read_bytes(again) == read_bytes(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.1,0,0.5,2,1,1,0,0", "line 3: expected 9 fields, got 8"),
+        ("0.1,0,0.5,2,1,1,0,0,0.1,7", "line 3: expected 9 fields, got 10"),
+        ("0.1,0,0.5,2,oops,1,0,0,0.1", "line 3: could not convert string to float: 'oops'"),
+        ("0.1,0,0.5,2.5,1,1,0,0,0.1", "line 3: rank 2.5 is not an integer"),
+        ("0.1,0,0.5,nan,1,1,0,0,0.1", "line 3: rank nan is not an integer"),
+    ],
+)
+def test_sweep_csv_rejects_malformed_rows(tmp_path, row, message):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n0.2,0,0.4,-1,nan,nan,nan,nan,0\n" + row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         read_sweep_csv(path)
 
 
