@@ -48,6 +48,9 @@ from .objective import (
 CERT_TOL = 1e-6
 # a sweep that lowers the objective by at most STALL_TOL relative has stalled
 STALL_TOL = 1e-8
+# a certificate costs more than a sweep, so the Gram path takes it only after
+# sweeps 1, 1 + CERT_EVERY, 1 + 2 CERT_EVERY, ... and max_outer
+CERT_EVERY = 5
 
 
 class NumericalError(RuntimeError):
@@ -59,11 +62,13 @@ class FitOptions:
     """Knobs for the factored solver.
 
     k: factor width (inner dimension); must not exceed min(Mn, Hn).
-    max_outer: maximum number of sweeps.  A Gram-path sweep solves V then
-        U; an L-BFGS sweep is one joint solve over [U; V; Phi], restarted
-        from the last iterate.  The stopping rules are fixed (see FitReport).
-        Each joint L-BFGS-B solve runs at history 10, gtol 1e-8 and at most
-        1000 iterations; the Gram path's block solves are exact.
+    max_outer: maximum number of sweeps, at least 1.  A Gram-path sweep
+        solves V then U; an L-BFGS sweep is one joint solve over
+        [U; V; Phi], restarted from the last iterate.  The stopping rules
+        are fixed (see FitReport); the Gram path checks its certificate
+        after sweep 1, every CERT_EVERY sweeps after it, and sweep
+        max_outer.  Each joint L-BFGS-B solve runs at history 10, gtol 1e-8
+        and at most 1000 iterations; the Gram path's block solves are exact.
     seed: drives the random entries of the initial factors.
     init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
         with k0 <= k.  The fit starts from these columns widened to k by
@@ -78,6 +83,10 @@ class FitOptions:
     seed: int = 0
     init: tuple[np.ndarray, np.ndarray] | None = None
 
+    def __post_init__(self):
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer={self.max_outer} must be at least 1")
+
 
 @dataclass
 class FitReport:
@@ -90,11 +99,15 @@ class FitReport:
 
     On the Gram path (squared l2, kappa = 0, lam > 0, W absent or rank one)
     converged means the KKT certificate max(r1, r2, r3) <= CERT_TOL * lam
-    held, or theta = 0 was certified without sweeps; a width-bound fit
-    (reduced rank k < min(Mn, Hn)) also stops, unconverged, once a sweep
-    lowers the objective by at most STALL_TOL relative.  iterations counts
-    one per closed-form block solve, two per sweep.  On the L-BFGS path
-    converged means that stall, and iterations counts L-BFGS iterations.
+    held on the returned iterate, or theta = 0 was certified without
+    sweeps; a width-bound fit (reduced rank k < min(Mn, Hn)) also stops,
+    unconverged, once a sweep lowers the objective by at most STALL_TOL
+    relative.  Both tests run only after sweep 1, 1 + CERT_EVERY,
+    1 + 2 CERT_EVERY, ... and max_outer, so a fit may run up to
+    CERT_EVERY - 1 sweeps past the first sweep it could have stopped on.
+    iterations counts one per closed-form block solve, two per sweep.  On
+    the L-BFGS path converged means that stall, and iterations counts
+    L-BFGS iterations.
     On both, objective_trace holds the start and one entry per sweep.  An
     l1 trace holds the objective of _smooth_l1's smoothing, which lies
     within Hn d / 2 below the l1 objective.
@@ -216,9 +229,11 @@ def nuclear_norm(theta: np.ndarray) -> float:
 
 
 def _spectral_norm(A: np.ndarray) -> float:
+    # the largest eigenvalue of A's smaller Gram matrix is ||A||_2^2
     if A.size == 0:
         return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    gram = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def main_objective(
@@ -340,10 +355,13 @@ def _gram_fit(
     Z = [P U, R], for every column of [V; Phi] with one eigh; the U-step
     solves the Sylvester equation G U (V D_b^2 V^T) + (N lam / 2) U =
     (C - G_PR Phi) D_b^2 V^T with G's eigenbasis and one k x k eigh.  After
-    every sweep _kkt_residuals' certificate is taken from the smooth
-    gradient (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3 each sweep, the
-    spectral-norm r1 once those pass.  The objective stall (_stalled) ends
-    the fit only when the width binds, as unconverged.  Returns
+    sweep 1, every CERT_EVERY sweeps after it (1, 6, 11, ... at 5) and
+    sweep max_outer, _kkt_residuals' certificate is taken from the smooth
+    gradient (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3, then the
+    spectral-norm r1 once those pass.  The fit stops on it, up to
+    CERT_EVERY - 1 sweeps after the first sweep that would certify.  On
+    the same sweeps the objective stall (_stalled, over the last sweep)
+    ends the fit only when the width binds, as unconverged.  Returns
     _fit_arrays' tuple.
     """
     a, b = weights
@@ -424,6 +442,8 @@ def _gram_fit(
         trace.append(obj)
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite after sweep {sweeps}")
+        if (sweeps - 1) % CERT_EVERY and sweeps < opts.max_outer:
+            continue
         worst, rank = certificate(Ut, B)
         converged = worst <= tol
         if converged or rank == k < min(mcols, hcols) and _stalled(trace):
