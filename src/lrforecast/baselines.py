@@ -7,12 +7,16 @@ centered past windows, wrapped in a FullForecaster:
   * the conditional-mean forecaster of a stationary Gaussian process with
     known autocovariances (block Toeplitz second-moment matrix);
   * an iterated vector autoregression: fit a one-step AR(M) model, then
-    roll it forward H steps replacing unknown values by their conditional
-    means;
+    roll its noise-free companion state-space form (the state is the past
+    window itself) forward H steps;
   * the exact forecaster of a linear Gaussian state-space model: a Kalman
-    smoother over the past window estimates the current latent state, and
-    the model dynamics propagate it forward — giving a forecaster whose
-    rank is at most the latent dimension.
+    smoother over the past window, solved in information form (one
+    positive-definite block-tridiagonal system), estimates the current
+    latent state, and the model dynamics propagate it forward — giving a
+    forecaster whose rank is at most the latent dimension.
+
+Both end in one propagation, _propagate; ss_autocov and cond_mean_forecaster
+do not use it, so they stay an independent check on both.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ class FullForecaster:
     means: np.ndarray = None
 
     def __post_init__(self):
+        if min(self.n, self.M, self.H) < 1:
+            raise ValueError(f"n, M and H must be >= 1, got {self.n}, {self.M}, {self.H}")
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.shape != (self.M * self.n, self.H * self.n):
             raise ValueError(
@@ -158,14 +164,14 @@ def _spd_cholesky(G: np.ndarray, msg: str) -> np.ndarray:
 
     LAPACK only fails on a nonpositive pivot; exact rank deficiency often
     rounds to a pivot near sqrt(eps) and would silently produce a garbage
-    solve, so pivots below 1e-7 of the largest are rejected too.
+    solve, so pivots below 1e-6 of the largest are rejected too.
     """
     try:
         chol = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise NumericalError(msg) from None
     d = np.diagonal(chol)
-    if d.size and float(d.min()) <= 1e-7 * float(d.max()):
+    if d.size and float(d.min()) <= 1e-6 * float(d.max()):
         raise NumericalError(msg)
     return chol
 
@@ -259,31 +265,32 @@ def ar_iterated_forecaster(
     Each predicted value is fed back in place of the unknown future value,
     which is exactly iterated conditional expectation, so the result
     matches the stationary conditional-mean forecaster of the same AR
-    process.  theta is built by propagating, for each future step, the
-    linear map from the past window to the predicted value.
+    process.  In companion form the state is the past window itself:
+    Phi shifts it one step and appends A_1 x_t + ... + A_M x_{t-M+1}, E
+    reads its newest block, and the noise-free propagation gives
+    theta^T = [E Phi; E Phi^2; ...; E Phi^H].
     """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     if len(A_list) != M:
         raise ValueError(f"expected {M} coefficient matrices, got {len(A_list)}")
-    n = np.asarray(A_list[0]).shape[0]
     A_list = [np.asarray(A, dtype=float) for A in A_list]
-    for A in A_list:
-        if A.shape != (n, n):
-            raise ValueError("all AR coefficient matrices must be n x n")
-    # maps[s] : n x Mn sending the past window to the value at offset s - M + 1
-    maps = []
-    for j in range(M):
-        E = np.zeros((n, M * n))
-        E[:, j * n : (j + 1) * n] = np.eye(n)
-        maps.append(E)
-    blocks = []
-    for _ in range(H):
-        X = np.zeros((n, M * n))
-        for i in range(1, M + 1):
-            X += A_list[i - 1] @ maps[-i]
-        maps.append(X)
-        blocks.append(X.T)
-    theta = np.hstack(blocks)
+    n = A_list[0].shape[0]
+    if any(A.shape != (n, n) for A in A_list):
+        raise ValueError("all AR coefficient matrices must be n x n")
+    Phi = np.eye(M * n, k=n)
+    Phi[-n:] = np.hstack(A_list[::-1])  # the window stacks oldest first
+    E = np.eye(n, M * n, k=(M - 1) * n)
+    theta = _propagate(E, Phi, H).T
     return FullForecaster(theta=theta, n=n, M=M, H=H, means=means)
+
+
+def _propagate(C: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
+    """[C A; C A^2; ...; C A^H]: maps a state to its next H noise-free outputs."""
+    stack = [C]
+    for _ in range(H):
+        stack.append(stack[-1] @ A)
+    return np.vstack(stack)[C.shape[0] :]
 
 
 def stationary_cov(A: np.ndarray, Q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -335,59 +342,6 @@ def ss_autocov(model: StateSpaceModel, L: int) -> AutocovSet:
     return AutocovSet(sigmas=sigmas)
 
 
-def _smoother_kkt(
-    model: StateSpaceModel, M: int, include_initial_prior: bool
-) -> tuple[np.ndarray, np.ndarray, slice]:
-    """KKT system of the fixed-interval smoothing problem over an M-window.
-
-    Decision variables w = (z_1..z_M, eps_1..eps_{M-1}, eta_1..eta_M)
-    minimize  z_1' Pi^{-1} z_1 [optional prior]
-              + sum eps' Q^{-1} eps + sum eta' R^{-1} eta
-    subject to z_{s+1} = A z_s + eps_s  and  x_s = C z_s + eta_s.
-
-    Returns (KKT matrix, constraint right-hand-side map B with
-    KKT @ sol = [0; B p] for a stacked window p, slice of z_M in w).
-    """
-    r, n = model.r, model.n
-    A, C = model.A, model.C
-    pd_msg = "smoothing requires positive definite Q and R"
-    Qi = np.linalg.inv(_spd_cholesky(model.Q, pd_msg))
-    Ri = np.linalg.inv(_spd_cholesky(model.R, pd_msg))
-    Qinv = Qi.T @ Qi
-    Rinv = Ri.T @ Ri
-    nz, ne, nh = M * r, (M - 1) * r, M * n
-    nv = nz + ne + nh
-    Hq = np.zeros((nv, nv))
-    if include_initial_prior:
-        Pi = stationary_cov(model.A, model.Q)
-        ci = np.linalg.inv(_spd_cholesky(Pi, pd_msg))
-        Hq[:r, :r] = ci.T @ ci
-    for s in range(M - 1):
-        i = nz + s * r
-        Hq[i : i + r, i : i + r] = Qinv
-    for s in range(M):
-        i = nz + ne + s * n
-        Hq[i : i + n, i : i + n] = Rinv
-    nc = ne + nh
-    E = np.zeros((nc, nv))
-    for s in range(M - 1):
-        row = s * r
-        E[row : row + r, (s + 1) * r : (s + 2) * r] = np.eye(r)
-        E[row : row + r, s * r : (s + 1) * r] = -A
-        E[row : row + r, nz + s * r : nz + (s + 1) * r] = -np.eye(r)
-    for s in range(M):
-        row = ne + s * n
-        E[row : row + n, s * r : (s + 1) * r] = C
-        E[row : row + n, nz + ne + s * n : nz + ne + (s + 1) * n] = np.eye(n)
-    kkt = np.zeros((nv + nc, nv + nc))
-    kkt[:nv, :nv] = 2.0 * Hq
-    kkt[:nv, nv:] = E.T
-    kkt[nv:, :nv] = E
-    B = np.zeros((nc, M * n))
-    B[ne:, :] = np.eye(M * n)
-    return kkt, B, slice((M - 1) * r, M * r)
-
-
 def ss_forecaster(
     model: StateSpaceModel,
     M: int,
@@ -397,35 +351,46 @@ def ss_forecaster(
 ) -> tuple[np.ndarray, np.ndarray, FullForecaster]:
     """Exact forecaster of a state-space model from an M-step window.
 
-    Solves the window smoothing problem as a linearly constrained least
-    squares (KKT) system to get the gain K with z_t = K p_t, then
-    propagates: the forecast stacks C A^h z_t for h = 1..H, so
+    The window smoother minimizes z_1' Pi^{-1} z_1 [optional prior]
+    + sum (z_{s+1} - A z_s)' Q^{-1} (z_{s+1} - A z_s)
+    + sum (x_s - C z_s)' R^{-1} (x_s - C z_s) over z_1..z_M.  Its normal
+    equations are the information form J z = (I_M kron C^T R^{-1}) p, with
+    J block tridiagonal: C^T R^{-1} C on every diagonal block, plus
+    A^T Q^{-1} A and Q^{-1} on the diagonal and -A^T Q^{-1}, -Q^{-1} A off
+    it for each transition, plus Pi^{-1} in block (1, 1) with the prior.
+    The gain K with z_t = K p_t is the z_M rows of J^{-1}
+    (I_M kron C^T R^{-1}); the forecast stacks C A^h z_t for h = 1..H, so
     theta^T = [C A; C A^2; ...; C A^H] K and rank(theta) <= r.
 
     With include_initial_prior the first window state carries its
     stationary prior, which makes K the exact conditional mean and the
     result equal to the autocovariance-based forecaster.  Without it the
-    smoothing objective has no prior term (a diffuse first state).
+    first state is diffuse, and J is singular exactly when the window's
+    observability matrix [C; C A; ...; C A^{M-1}] has rank below r.
     """
-    if M < 1 or H < 1:
-        raise ValueError("M and H must be >= 1")
-    kkt, B, z_last = _smoother_kkt(model, M, include_initial_prior)
-    nv = kkt.shape[0] - B.shape[0]
-    rhs = np.zeros((kkt.shape[0], M * model.n))
-    rhs[nv:] = B
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    r, A, C = model.r, model.A, model.C
+
+    def inv(S):
+        Li = np.linalg.inv(_spd_cholesky(S, "smoothing requires positive definite Q and R"))
+        return Li.T @ Li
+
+    G = np.hstack([A, -np.eye(r)])  # G [z_s; z_{s+1}] = -(z_{s+1} - A z_s)
+    step, CtRinv = G.T @ inv(model.Q) @ G, C.T @ inv(model.R)
+    J = np.kron(np.eye(M), CtRinv @ C)
+    for s in range(M - 1):
+        J[s * r : (s + 2) * r, s * r : (s + 2) * r] += step
+    if include_initial_prior:
+        J[:r, :r] += inv(stationary_cov(A, model.Q))
+    elif np.linalg.matrix_rank(np.vstack([C, _propagate(C, A, M - 1)])) < r:
         raise NumericalError(
-            "smoother KKT system is singular; without the initial-state prior "
-            "the window may not determine the state"
-        ) from None
-    K = sol[:nv][z_last]
-    stack = np.empty((H * model.n, model.r))
-    Ah = np.eye(model.r)
-    for h in range(H):
-        Ah = model.A @ Ah
-        stack[h * model.n : (h + 1) * model.n] = model.C @ Ah
+            f"without the initial-state prior an M={M} window does not determine "
+            f"the state: the observability matrix has rank below r={r}"
+        )
+    chol = _spd_cholesky(J, "smoother information matrix is numerically singular")
+    K = _chol_solve(chol, np.kron(np.eye(M), CtRinv))[-r:]
+    stack = _propagate(C, A, H)
     theta = (stack @ K).T
     return K, stack, FullForecaster(theta=theta, n=model.n, M=M, H=H, means=means)
 

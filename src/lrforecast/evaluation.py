@@ -89,6 +89,7 @@ class SweepRow:
     wall_time_s: float
     failed: bool = False
     error: str = ""  # "Type: message" of a failed fit's exception; not in the CSV
+    converged: bool = False  # the fit's FitReport.converged; not in the CSV
 
 
 @dataclass
@@ -138,7 +139,8 @@ def _sweep_chain(
                   for d in (data_train, data_test))
         rows.append(
             SweepRow(alpha, kappa, lam, model.rank, tr.loss, te.loss,
-                     tr.inconsistency, te.inconsistency, report.wall_time)
+                     tr.inconsistency, te.inconsistency, report.wall_time,
+                     converged=report.converged)
         )
         opts = replace(opts, init=(model.U, model.V))
     return rows
@@ -162,8 +164,10 @@ def sweep(
     the training windows.  Within each kappa column, fits are warm-started
     from the previous alpha's factors (processed in grid order); columns
     are independent, so jobs > 1 runs them in parallel without changing
-    any output.  A failed fit marks its row rather than aborting.  Rows
-    come back in alpha-major grid order.
+    any output.  A failed fit marks its row rather than aborting; a row's
+    converged copies its fit's FitReport.converged, so a certified fit can
+    be told from one that ran out of sweeps.  Rows come back in
+    alpha-major grid order.
 
     Both series are centered with the training means by default; pass
     explicit means (e.g. zeros, when the process mean is known) to
@@ -223,7 +227,8 @@ def walk_forward_cv(
     boundary j+1, so every test point lies strictly after all of its
     training data (asserted).  Each split runs a full (alpha, kappa)
     sweep; the aggregate table averages metrics across splits (test
-    segments have equal length, so the mean is the window-weighted mean).
+    segments have equal length, so the mean is the window-weighted mean),
+    and an aggregate row is converged only when every split's row is.
     """
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)
@@ -259,6 +264,7 @@ def walk_forward_cv(
             rank=int(round(np.mean([r.rank for r in ok]))),
             wall_time_s=float(np.sum([r.wall_time_s for r in group])),
             failed=len(ok) < len(group),
+            converged=all(r.converged for r in group),
             error=next((r.error for r in group if r.failed), ""),
         ))
     return CVResult(splits=splits, boundaries=boundaries, aggregate=agg)

@@ -35,7 +35,7 @@ from lrforecast import (
     to_low_rank,
     zero_forecaster,
 )
-from lrforecast.baselines import _smoother_kkt
+from lrforecast.baselines import _spd_cholesky
 
 
 def rand_windows(rng, N=30, n=2, M=3, H=2):
@@ -103,6 +103,9 @@ def test_full_forecaster_validation():
         FullForecaster(theta=theta, n=1, M=4, H=2, means=np.zeros(3))
     with pytest.raises(ValueError):
         f.forecast(np.zeros(5))
+    for n, M, H in ((1, 0, 2), (0, 1, 1)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FullForecaster(theta=np.zeros((M * n, H * n)), n=n, M=M, H=H)
 
 
 def test_full_forecaster_applies_theta(rng):
@@ -184,6 +187,17 @@ def test_ridge_errors(rng):
     with pytest.raises(NumericalError, match="lam > 0"):
         ridge_fit(thin, 0.0)
     ridge_fit(thin, 1e-6)  # jittered solve goes through
+
+
+def test_spd_cholesky_rejects_exactly_singular_grams():
+    # X's last column is a combination of the others, so X^T X is singular;
+    # 4 of these 2000 have pivot ratios in (1e-7, 1.2e-7) and passed a 1e-7 cut
+    rng = np.random.default_rng(0)
+    for i in range(2000):
+        X = rng.normal(size=(40, 1 + i % 10))
+        X = np.hstack([X, X @ rng.normal(size=(X.shape[1], 1))])
+        with pytest.raises(NumericalError):
+            _spd_cholesky(X.T @ X, "singular")
 
 
 # ------------------------------------------------------ empirical moments
@@ -268,6 +282,9 @@ def test_cond_mean_errors():
     flat = AutocovSet(sigmas=[np.zeros((1, 1)), np.zeros((1, 1))])
     with pytest.raises(NumericalError, match="jitter"):
         cond_mean_forecaster(flat, M=1, H=1)
+    for M, H in ((0, 2), (1, 0)):  # M = 0 used to return an M = 0 forecaster
+        with pytest.raises(ValueError, match="must be >= 1"):
+            cond_mean_forecaster(AutocovSet([np.eye(2)] * 3), M=M, H=H)
 
 
 # ------------------------------------------------------------------- AR
@@ -373,6 +390,15 @@ def test_ar_iterated_validation():
         ar_iterated_forecaster([np.eye(2), np.zeros((3, 3))], M=2, H=1)
 
 
+def test_ar_and_ss_forecasters_reject_lengths_below_one():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ar_iterated_forecaster([], M=0, H=2)  # used to raise IndexError
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ar_iterated_forecaster([np.eye(2)], M=1, H=0)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ss_forecaster(rand_ss(np.random.default_rng(0)), M=1, H=0)
+
+
 # ------------------------------------------------------------ state space
 
 
@@ -471,18 +497,6 @@ def test_smoother_gain_matches_joint_gaussian(rng):
     assert np.allclose(K, K_oracle, atol=1e-8 * max(1.0, np.linalg.norm(K_oracle)))
 
 
-def test_smoother_kkt_residual(rng):
-    model = rand_ss(rng, r=2, n=2)
-    M = 4
-    kkt, B, _ = _smoother_kkt(model, M, include_initial_prior=True)
-    nv = kkt.shape[0] - B.shape[0]
-    rhs = np.zeros((kkt.shape[0], B.shape[1]))
-    rhs[nv:] = B
-    sol = np.linalg.solve(kkt, rhs)
-    resid = np.linalg.norm(kkt @ sol - rhs)
-    assert resid <= 1e-9 * max(1.0, np.linalg.norm(kkt) * np.linalg.norm(sol))
-
-
 def test_ss_forecaster_reads_state_through_invertible_C(rng):
     # near-noiseless observations make the smoother invert C at M = 1
     C = rng.normal(size=(2, 2))
@@ -524,6 +538,22 @@ def test_ss_forecaster_diffuse_variant(rng):
     assert not np.allclose(diffuse.theta, prior.theta)
 
 
+def test_ss_forecaster_diffuse_window_must_observe_the_state():
+    # without the prior J is singular exactly when [C; C A; ...; C A^{M-1}]
+    # has rank below r: z_s = A^{s-1} z_1 with z_1 in its null space is free
+    blind = StateSpaceModel(
+        A=0.5 * np.eye(2), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1)
+    )
+    short = rand_ss(np.random.default_rng(3), r=3, n=1)
+    for model, M in ((blind, 3), (short, 2)):
+        with pytest.raises(NumericalError, match=f"M={M} window"):
+            ss_forecaster(model, M, H=2, include_initial_prior=False)
+        K, _, f = ss_forecaster(model, M, H=2)
+        assert K.shape == (model.r, M * model.n) and np.all(np.isfinite(K))
+        fcm = cond_mean_forecaster(ss_autocov(model, M + 1), M, 2)
+        assert np.allclose(f.theta, fcm.theta, atol=1e-8)
+
+
 def test_ss_forecaster_errors(rng):
     model = rand_ss(rng)
     with pytest.raises(ValueError):
@@ -545,6 +575,8 @@ def test_zero_forecaster_loss_and_consistency(rng):
     assert not fhat.any()
     assert np.isclose(loss_value(fhat, data.F), (data.F**2).sum() / data.N)
     assert inconsistency(fhat, data.n) == 0.0
+    with pytest.raises(ValueError, match="must be >= 1"):
+        zero_forecaster(2, 0, 1)  # used to return an M = 0 forecaster
 
 
 def test_mean_forecaster_stores_training_mean(rng):

@@ -1,5 +1,7 @@
 """Evaluation, sweep, and walk-forward validation tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lrforecast import (
     FitOptions,
     Loss,
     ModelBundle,
+    SimSpec,
     SweepRow,
     SweepTable,
     TimeSeries,
@@ -17,10 +20,12 @@ from lrforecast import (
     evaluate,
     evaluate_forecasts,
     fit_auto_rank,
+    gen_model,
     inconsistency,
     lambda_max,
     loss_value,
     ridge_fit,
+    sample,
     sweep,
     walk_forward_cv,
 )
@@ -142,11 +147,22 @@ def test_sweep_marks_failed_rows(rng, monkeypatch):
     monkeypatch.setattr(evaluation, "fit_auto_rank", flaky)
     table = sweep(x[:35], x[35:], [0.3], [0.0, 1.0], M=3, H=2, opts=FitOptions(k=3))
     good, bad = table.rows
-    assert not good.failed and good.error == ""
-    assert bad.failed
+    assert not good.failed and good.error == "" and good.converged
+    assert bad.failed and not bad.converged
     assert bad.error == "RuntimeError: synthetic failure"
     assert bad.rank == -1
     assert np.isnan(bad.test_loss) and np.isnan(bad.train_loss)
+
+
+def test_sweep_rows_tell_certified_from_out_of_sweeps():
+    # the 20-alpha chain on the seed-0 paper series: one of its warm-started
+    # fits ends at max_outer without meeting the KKT certificate
+    spec = SimSpec(n=10, r=2, T_train=100, seed=0)
+    train, _ = sample(gen_model(spec), spec.T_train, seed=0)
+    test, _ = sample(gen_model(spec), 100, seed=1)
+    table = sweep(train, test, np.linspace(0.3, 0.01, 20), [0.0], 12, 12)
+    assert sum(r.converged for r in table.rows) == 19
+    assert not any(r.failed for r in table.rows)
 
 
 def test_sweep_validation(rng):
@@ -211,6 +227,7 @@ def test_walk_forward_aggregate_averages(rng):
         assert np.isclose(r.test_loss, np.mean([p.test_loss for p in parts]))
         assert np.isclose(r.train_loss, np.mean([p.train_loss for p in parts]))
         assert r.alpha == parts[0].alpha and r.kappa == parts[0].kappa
+        assert r.converged == all(p.converged for p in parts)
 
 
 def test_walk_forward_aggregate_keeps_first_error(rng, monkeypatch):
@@ -228,7 +245,23 @@ def test_walk_forward_aggregate_keeps_first_error(rng, monkeypatch):
     (agg,) = cv.aggregate.rows
     assert first.failed and not second.failed
     assert agg.failed and agg.error == first.error == "RuntimeError: short split N=24"
+    assert second.converged and not first.converged and not agg.converged
     assert agg.test_loss == second.test_loss
+
+
+def test_walk_forward_aggregate_converged_needs_every_split(rng, monkeypatch):
+    x = small_series(rng, T=80)
+    real = evaluation.fit_auto_rank
+
+    def late_uncertified(data, lam, kappa=0.0, loss=Loss(), opts=None, means=None):
+        model, report = real(data, lam, kappa, loss, opts=opts, means=means)
+        return model, replace(report, converged=report.converged and data.N < 30)
+
+    monkeypatch.setattr(evaluation, "fit_auto_rank", late_uncertified)
+    cv = walk_forward_cv(x, 2, [0.4], [0.0], M=3, H=2, opts=FitOptions(k=3))
+    first, second = (t.rows[0] for t in cv.splits)
+    assert first.converged and not second.converged and not second.failed
+    assert not cv.aggregate.rows[0].converged
 
 
 def test_walk_forward_requires_enough_data():
