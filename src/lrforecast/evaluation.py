@@ -178,8 +178,9 @@ def sweep(
     kappas = [float(k) for k in kappas]
     if not alphas or not kappas:
         raise ValueError("alphas and kappas must be non-empty")
-    if any(a < 0 for a in alphas) or any(k < 0 for k in kappas):
-        raise ValueError("alphas and kappas must be nonnegative")
+    bad = [v for v in alphas + kappas if not 0 <= v < np.inf]
+    if bad:
+        raise ValueError(f"alphas and kappas must be finite and nonnegative, got {bad[0]}")
     centered_train, means = center(train, means)
     centered_test, _ = center(test, means)
     data_train = build_windows(centered_train, M, H)

@@ -15,7 +15,9 @@ non-consecutive t, or a value that is not a finite number is rejected
 with a ValueError naming the first offending line.
 
 JSON documents are dumped with sorted keys and a fixed indent so
-identical inputs produce bytewise-identical files.
+identical inputs produce bytewise-identical files.  A model or trend
+document holding NaN or Infinity, which Python's json reads, is rejected
+with a ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -185,6 +187,13 @@ def write_matrix_csv(
 # ----------------------------------------------------------------- model JSON
 
 
+def _require_finite(document: str, fields) -> None:
+    # json reads NaN and Infinity, which no fitted model or trend holds
+    for name, value in fields:
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{document} field {name} has a non-finite value")
+
+
 def model_to_json(
     model: LowRankForecaster,
     trend: TrendModel | None = None,
@@ -234,6 +243,8 @@ def model_from_json(doc: dict) -> ModelBundle:
         V = np.array(doc["V"], dtype=float)
     sigma = np.array(doc["singular_values"], dtype=float)
     means = np.array(doc["means"], dtype=float)
+    _require_finite("model", [("lambda", lam), ("kappa", kappa), ("U", U), ("V", V),
+                              ("singular_values", sigma), ("means", means)])
     if U.shape != (M * n, rank) or V.shape != (rank, H * n):
         raise ValueError(
             f"factor shapes {U.shape} x {V.shape} do not match "
@@ -252,6 +263,7 @@ def model_from_json(doc: dict) -> ModelBundle:
         phi = np.array(doc["aux"]["Phi"], dtype=float)
         if phi.ndim != 2 or phi.shape[1] != H * n:
             raise ValueError(f"aux Phi has shape {phi.shape}, want p x {H * n}")
+        _require_finite("model", [("aux Phi", phi)])
         if doc["aux"].get("features"):
             aux_features = FeatureSpec.from_json(doc["aux"]["features"])
     return ModelBundle(model=model, trend=trend, phi=phi, aux_features=aux_features)
@@ -280,8 +292,10 @@ def trend_from_json(doc: dict) -> TrendModel:
     S = np.array(doc["S"], dtype=float)
     if S.ndim != 2:
         raise ValueError("trend S must be a matrix")
+    lam = float(doc.get("lam", 0.0))
+    _require_finite("trend", [("S", S), ("lam", lam)])
     feats = FeatureSpec.from_json(doc["features"]) if doc.get("features") else None
-    return TrendModel(S=S, lam=float(doc.get("lam", 0.0)), features=feats)
+    return TrendModel(S=S, lam=lam, features=feats)
 
 
 def ss_to_json(model: StateSpaceModel, spec: SimSpec | None = None) -> dict:

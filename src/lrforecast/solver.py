@@ -44,7 +44,7 @@ from .objective import (
     loss_value,
 )
 
-# a Gram-path fit is certified once max(r1, r2, r3) <= CERT_TOL * lam
+# a fit is converged, certified optimal, when max(r1, r2, r3) <= CERT_TOL * lam
 CERT_TOL = 1e-6
 # a sweep that lowers the objective by at most STALL_TOL relative has stalled
 STALL_TOL = 1e-8
@@ -97,20 +97,15 @@ class FitReport:
     optimality_residuals (None for l1) is taken on the fitted design, see
     optimality_residuals: [P, aux] for a joint aux fit, Phi's term for ridge.
 
-    On the Gram path (squared l2, kappa = 0, lam > 0, W absent or rank one)
-    converged means the KKT certificate max(r1, r2, r3) <= CERT_TOL * lam
-    held on the returned iterate, or theta = 0 was certified without
-    sweeps; a width-bound fit (reduced rank k < min(Mn, Hn)) also stops,
-    unconverged, once a sweep lowers the objective by at most STALL_TOL
-    relative.  Both tests run only after sweep 1, 1 + CERT_EVERY,
-    1 + 2 CERT_EVERY, ... and max_outer, so a fit may run up to
-    CERT_EVERY - 1 sweeps past the first sweep it could have stopped on.
-    iterations counts one per closed-form block solve, two per sweep.  On
-    the L-BFGS path converged means that stall, and iterations counts
-    L-BFGS iterations.
-    On both, objective_trace holds the start and one entry per sweep.  An
-    l1 trace holds the objective of _smooth_l1's smoothing, which lies
-    within Hn d / 2 below the l1 objective.
+    converged means the KKT certificate: optimality_residuals is not None
+    and max(r1, r2, r3) <= CERT_TOL * lam, on every engine and at the zero
+    exits.  An l1 fit has no certificate and reads False, as does a lam = 0
+    fit, whose scale CERT_TOL * lam is 0.  Where a fit stops is the
+    engine's (see _gram_fit, _fit_arrays).  iterations counts one per
+    Gram-path block solve, two per sweep, or the L-BFGS iterations.
+    objective_trace holds the start and one entry per sweep.  An l1 trace
+    holds the objective of _smooth_l1's smoothing, which lies within
+    Hn d / 2 below the l1 objective.
     """
 
     objective_trace: list[float]
@@ -344,7 +339,7 @@ def _gram_fit(
     P: np.ndarray, F: np.ndarray, R: np.ndarray | None,
     weights: tuple[np.ndarray | None, np.ndarray],
     U: np.ndarray, V: np.ndarray, lam: float, opts: FitOptions,
-) -> tuple[np.ndarray, np.ndarray, list[float], int, int, bool, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
     """Exact alternating block solves on Gram statistics, stopped by the KKT certificate.
 
     With W = a b^T (weights = (a, b), a None for unit rows) the loss
@@ -361,8 +356,7 @@ def _gram_fit(
     spectral-norm r1 once those pass.  The fit stops on it, up to
     CERT_EVERY - 1 sweeps after the first sweep that would certify.  On
     the same sweeps the objective stall (_stalled, over the last sweep)
-    ends the fit only when the width binds, as unconverged.  Returns
-    _fit_arrays' tuple.
+    ends the fit only when the width binds.  Returns _fit_arrays' tuple.
     """
     a, b = weights
     N, mcols = P.shape
@@ -403,7 +397,7 @@ def _gram_fit(
         Phi0 = solve(GRR, CR)
         if _spectral_norm((2.0 / N) * (GPR @ Phi0 - C) * b2) <= lam:
             obj = objective(GRR, CR, Phi0, np.zeros((0, 0)))
-            return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], 0, 0, True, Phi0
+            return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], 0, 0, Phi0
 
     def certificate(Ut, B):
         # max of optimality_residuals' (r1, r2, r3), in G's eigenbasis, and the rank
@@ -450,7 +444,7 @@ def _gram_fit(
             break
     if sweeps:
         U = Q @ Ut
-    return U, B[:k], trace, 2 * sweeps, sweeps, converged, B[k:]
+    return U, B[:k], trace, 2 * sweeps, sweeps, B[k:]
 
 
 def _fit_arrays(
@@ -463,24 +457,23 @@ def _fit_arrays(
     W: np.ndarray | None,
     opts: FitOptions,
     R: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[float], int, int, bool, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
     """Fits the factored objective at width k. Returns raw factors.
 
     Squared l2 at kappa = 0 with lam > 0 and W absent or rank one runs
     _gram_fit's exact alternating solves.  Every other fit minimizes
     _factored_value_grad over all of x = [U; V; Phi]: a sweep is one
-    L-BFGS-B solve restarted from the last iterate, and the fit ends,
-    converged, once a sweep lowers the objective by at most STALL_TOL
-    relative (_stalled).  l1 is swapped for _smooth_l1's smoothing at
-    entry.  Both engines share the validation, the initial factors and the
-    zero exit above lambda_max.
+    L-BFGS-B solve restarted from the last iterate, and the fit ends once
+    a sweep lowers the objective by at most STALL_TOL relative (_stalled).
+    l1 is swapped for _smooth_l1's smoothing at entry.  Both engines share
+    the validation, the initial factors and the zero exit above lambda_max.
 
     R (N x p, optional) adds regressors outside the factorization: the
     forecast becomes P U V + R Phi, and their coefficients Phi (p x Hn)
     carry the ridge penalty (lam/2) ||Phi||_F^2.  Phi starts at zero; the
     Gram path solves it jointly with V as one block B = [V; Phi] against
     the design Z = [P U, R], and the L-BFGS path with U and V.  Returns
-    (U, V, trace, inner iterations, sweeps, converged, Phi), with Phi of
+    (U, V, trace, inner iterations, sweeps, Phi), with Phi of
     shape (0, Hn) when R is omitted.
     """
     N, mcols = P.shape
@@ -489,8 +482,8 @@ def _fit_arrays(
     k = opts.k
     if not 1 <= k <= min(mcols, hcols):
         raise ValueError(f"k={k} must be in [1, min({mcols}, {hcols})]")
-    if lam < 0 or kappa < 0:
-        raise ValueError("lam and kappa must be nonnegative")
+    if not (0 <= lam < math.inf and 0 <= kappa < math.inf):
+        raise ValueError(f"lam and kappa must be finite and nonnegative, got {lam}, {kappa}")
 
     U0, V0 = opts.init if opts.init is not None else (np.zeros((mcols, 0)), np.zeros((0, hcols)))
     U0 = np.asarray(U0, dtype=float)
@@ -513,13 +506,13 @@ def _fit_arrays(
     if lam > 0 and not p:
         # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2
         # (for l1, of its smoothing), and the sweeps only crawl toward it; exit
-        # with the certified answer.
+        # with it, and _fit_design's residuals certify it.
         # With a ridge block the threshold is taken at the ridge fit of Phi, which
         # only the Gram path computes (_gram_fit); the L-BFGS path always sweeps.
         if lam >= lambda_max(P, F, loss, W=W):
             val = loss_value(np.zeros_like(F), F, loss, W)
             U, V, Phi = np.zeros((mcols, k)), np.zeros((k, hcols)), np.zeros((0, hcols))
-            return U, V, [val], 0, 0, True, Phi
+            return U, V, [val], 0, 0, Phi
 
     # the warm start is widened to k by random columns; without one, all k are random
     rng = np.random.default_rng(opts.seed)
@@ -537,7 +530,6 @@ def _fit_arrays(
     lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": 1e-8, "ftol": 1e-16}
     trace = [obj]
     total_iters = sweeps = 0
-    converged = False
     for sweeps in range(1, opts.max_outer + 1):
         res = minimize(_factored_value_grad, x, args=args, jac=True, method="L-BFGS-B",
                        options=lbfgs_opts)
@@ -547,10 +539,9 @@ def _fit_arrays(
             raise NumericalError(f"objective became non-finite after sweep {sweeps}")
         trace.append(obj)
         if _stalled(trace):
-            converged = True
             break
     B = x[mcols * k :].reshape(k + p, hcols)
-    return x[: mcols * k].reshape(mcols, k), B[:k], trace, total_iters, sweeps, converged, B[k:]
+    return x[: mcols * k].reshape(mcols, k), B[:k], trace, total_iters, sweeps, B[k:]
 
 
 def _fit_design(
@@ -565,7 +556,7 @@ def _fit_design(
     model.  R is _fit_arrays' ridge block; Phi is (0, Hn) without aux.
     """
     t0 = time.perf_counter()
-    U, V, trace, iters, sweeps, converged, Phi = _fit_arrays(
+    U, V, trace, iters, sweeps, Phi = _fit_arrays(
         P, data.F, data.n, lam, kappa, loss, W, opts, R
     )
     Ur, Vr, (U_theta, sigma, V_theta) = reduce_rank(U, V)
@@ -587,7 +578,8 @@ def _fit_design(
     report = FitReport(
         objective_trace=trace, final_objective=trace[-1], rank=model.rank,
         optimality_residuals=residuals, iterations=iters, sweeps=sweeps,
-        converged=converged, wall_time=time.perf_counter() - t0, k_schedule=[opts.k],
+        converged=residuals is not None and max(residuals) <= CERT_TOL * lam,
+        wall_time=time.perf_counter() - t0, k_schedule=[opts.k],
     )
     return model, Phi, report
 
@@ -628,10 +620,9 @@ def fit_auto_rank(
     is wider, capped at min(Mn, Hn).  If the reduced rank comes back equal
     to the factor width, the width is doubled (still capped) and the fit
     restarts warm from the previous factors, widened with fresh random
-    columns, since the solution may be rank-limited by k; a fit whose KKT
-    residuals are all within CERT_TOL * lam is optimal for the convex
-    problem at any width and is not widened.  The report
-    lists the widths tried and counts the work of all of them (see
+    columns, since the solution may be rank-limited by k; a converged fit
+    is optimal for the convex problem at any width and is not widened.  The
+    report lists the widths tried and counts the work of all of them (see
     FitReport); cap_reached flags an undecidable rank at the dimension cap.
     """
     opts = opts or FitOptions()
@@ -649,9 +640,7 @@ def fit_auto_rank(
         schedule.append(k)
         iterations += report.iterations
         sweeps += report.sweeps
-        res = report.optimality_residuals
-        certified = res is not None and max(res) <= CERT_TOL * lam
-        if model.rank < k or k == cap or certified:
+        if model.rank < k or k == cap or report.converged:
             break
         step = replace(opts, init=(model.U, model.V), seed=opts.seed + len(schedule))
         k = min(2 * k, cap)
@@ -742,9 +731,9 @@ def optimality_residuals(
     P theta + R Phi, Phi solved in the V block) has r2 = hypot(r2,
     ||R^T Gf + lam Phi||_F), Gf the forecast gradient.  Every kept
     singular value counts as support, so a direction that only decays
-    toward 0 reads as uncertified until reduce_rank drops it.  The Gram
-    path stops on this certificate, evaluated from its Gram statistics;
-    for L-BFGS fits it is a diagnostic only.
+    toward 0 reads as uncertified until reduce_rank drops it.  FitReport's
+    converged is this certificate; the Gram path also stops on it,
+    evaluated from its Gram statistics.
     """
     if not loss.differentiable:
         raise ValueError("optimality residuals require a differentiable loss")
@@ -775,8 +764,8 @@ def svt_reference_solve(
     central differences on its own.  Iterates, step rule and stopping rule
     are separate, so agreement between the two paths certifies the rest.
     """
-    if lam < 0 or kappa < 0:
-        raise ValueError("lam and kappa must be nonnegative")
+    if not (0 <= lam < math.inf and 0 <= kappa < math.inf):
+        raise ValueError(f"lam and kappa must be finite and nonnegative, got {lam}, {kappa}")
     P, F, n = data.P, data.F, data.n
     mcols, hcols = P.shape[1], F.shape[1]
 

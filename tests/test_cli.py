@@ -6,6 +6,7 @@ every file a command writes is compared against the same quantity produced
 by calling the underlying functions on the same inputs.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -708,6 +709,38 @@ def test_validation_errors_exit_two(small, tmp_path, capsys):
                "--alpha", 0.3, "--trend", aux_trend, "--model-out", model_out) == 2
     assert "--trend needs a trend fitted on features" in capsys.readouterr().err
     assert not model_out.exists()
+
+
+@pytest.mark.parametrize("penalty", [("--alpha", "nan"), ("--alpha", "inf"),
+                                     ("--lambda", "nan"), ("--alpha", 0.3, "--kappa", "inf")])
+def test_non_finite_penalties_exit_two(small, tmp_path, capsys, penalty):
+    model_out = tmp_path / "m.json"
+    assert run("fit", "--train", small / "train.csv", "--M", 3, "--H", 2, *penalty,
+               "--model-out", model_out, "--report-out", tmp_path / "r.json") == 2
+    assert "must be finite and nonnegative" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
+def test_sweep_with_non_finite_grid_exits_two(small, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--train", small / "train.csv", "--test", small / "test.csv",
+               "--M", 3, "--H", 2, "--alphas", "0.3,nan", "--out", out) == 2
+    assert "must be finite and nonnegative, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_with_non_finite_numbers_exits_two(sim, fitted, tmp_path, capsys):
+    doc = load_json(str(fitted["model"]))
+    doc["U"][0][0] = float("nan")
+    bad = tmp_path / "nan_model.json"
+    bad.write_text(json.dumps(doc))
+    for command, extra in (("forecast", ()), ("evaluate", ()),
+                           ("latent", ("--ar-out", tmp_path / "ar.json"))):
+        out = tmp_path / f"{command}.out"
+        assert run(command, "--model", bad, "--input", sim / "train.csv",
+                   "--out", out, *extra) == 2
+        assert "model field U has a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_numerical_failures_exit_three(sim, tmp_path, capsys):

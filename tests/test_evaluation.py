@@ -175,6 +175,20 @@ def test_sweep_validation(rng):
         sweep(x[:30], x[30:], [-0.1], [0.0], M=3, H=2)
 
 
+@pytest.mark.parametrize("alphas,kappas", [
+    ([0.1, float("nan")], [0.0]), ([float("inf")], [0.0]), ([0.1], [0.0, float("nan")]),
+    ([0.1], [float("inf")]),
+])
+def test_sweep_rejects_non_finite_penalties_before_fitting(rng, monkeypatch, alphas, kappas):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("sweep fitted before it checked its grid")
+
+    monkeypatch.setattr(evaluation, "fit_auto_rank", no_fit)
+    x = small_series(rng, T=40)
+    with pytest.raises(ValueError, match="finite and nonnegative, got (nan|inf)"):
+        sweep(x[:30], x[30:], alphas, kappas, M=3, H=2)
+
+
 # ----------------------------------------------------------------- SweepTable
 
 

@@ -402,6 +402,33 @@ def test_model_json_rejects_bad_shapes():
         model_from_json(doc)
 
 
+@pytest.mark.parametrize("field", ["U", "V", "singular_values", "means", "lambda", "kappa",
+                                   "aux Phi"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_model_json_rejects_non_finite_numbers(field, value):
+    # json.loads reads NaN and Infinity; a model holding one is refused by name
+    doc = json.loads(json.dumps(model_to_json(make_model(), phi=np.ones((2, 4)))))
+    if field == "aux Phi":
+        doc["aux"]["Phi"][1][2] = value
+    elif field in ("lambda", "kappa"):
+        doc[field] = value
+    elif field in ("singular_values", "means"):
+        doc[field][0] = value
+    else:
+        doc[field][0][1] = value
+    with pytest.raises(ValueError, match=f"model field {field} has a non-finite value"):
+        model_from_json(doc)
+
+
+@pytest.mark.parametrize("patch", [{"S": [[1.0, float("nan")]]}, {"S": [[float("inf")]]},
+                                   {"lam": float("nan")}, {"lam": float("inf")}])
+def test_trend_json_rejects_non_finite_numbers(patch):
+    doc = {"S": [[1.0, 2.0]], "lam": 0.0, "features": None, **patch}
+    name = "S" if "S" in patch else "lam"
+    with pytest.raises(ValueError, match=f"trend field {name} has a non-finite value"):
+        trend_from_json(doc)
+
+
 def test_model_json_float_fidelity():
     # json round trips python floats through repr, which is exact for doubles
     model = make_model(seed=3)

@@ -191,7 +191,7 @@ def test_objective_trace_nonincreasing(rng):
     t = np.array(report.objective_trace)
     assert np.all(t[1:] <= t[:-1] + 1e-10 * np.abs(t[:-1]))
     assert report.final_objective == t[-1]
-    assert report.converged
+    assert report.sweeps < 400
     # kappa > 0 takes the joint L-BFGS solve: one trace entry per sweep
     assert len(t) == report.sweeps + 1
 
@@ -283,7 +283,7 @@ def initial_factors(monkeypatch, data, opts):
 
     def capture(P, F, R, weights, U, V, lam, opts):
         seen.append((U, V))
-        return U, V, [0.0], 0, 0, False, np.zeros((0, V.shape[1]))
+        return U, V, [0.0], 0, 0, np.zeros((0, V.shape[1]))
 
     monkeypatch.setattr(solver, "_gram_fit", capture)
     _fit_arrays(data.P, data.F, data.n, 0.1, 0.0, Loss(), None, opts)
@@ -615,15 +615,16 @@ def test_gram_certificate_cadence(rng, monkeypatch):
     converged_sweeps = []
     for frac, k, max_outer in itertools.product((0.05, 0.3), (1, 6), (1, 2, 8, 100)):
         calls.clear()
-        *_, sweeps, converged, _ = _fit_arrays(
-            data.P, data.F, data.n, frac * lmax, 0.0, Loss(), None,
+        lam = frac * lmax
+        U, V, _, _, sweeps, _ = _fit_arrays(
+            data.P, data.F, data.n, lam, 0.0, Loss(), None,
             FitOptions(k=k, max_outer=max_outer),
         )
         checked = [s for s in range(1, sweeps + 1)
                    if (s - 1) % CERT_EVERY == 0 or s == max_outer]
         assert len(calls) == len(checked) <= math.ceil(sweeps / CERT_EVERY) + 1
         assert sweeps == checked[-1]
-        if converged:
+        if max(optimality_residuals(U, V, data, lam)) <= CERT_TOL * lam:
             converged_sweeps.append(sweeps)
     # the checks above are not vacuous: some fits certify, past sweep 1
     assert any(s > 1 for s in converged_sweeps)
@@ -791,3 +792,74 @@ def test_l1_fit_beats_zero_and_l2_fit(seed):
         # the smoothed problem's lambda_max lies below 0.2 * lmax here
         model, report = fit_auto_rank(data, 0.2 * lmax, loss=l1)
         assert model.rank == 0 and report.sweeps == 0
+
+
+# ------------------------------------------------------- one converged flag
+
+
+def _fit_on_path(path, data, rng):
+    # (lam, report) of one fit down the named solver path
+    lmax = lambda_max(data.P, data.F)
+    lam, opts = 0.1 * lmax, FitOptions(k=6, **GRAM_OPTS)
+    aux = rng.normal(size=(data.N, 2))
+    if path == "gram_width_bound":
+        return lam, fit_factored(data, lam, opts=FitOptions(k=1, max_outer=1000))[1]
+    if path == "rank_one_w":
+        W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), data.N, 4, 3, data.N + 6)
+        lam = 0.1 * lambda_max(data.P, data.F, W=W)
+        return lam, fit_factored(data, lam, W=W, opts=opts)[1]
+    if path == "w_not_rank_one":
+        W = rng.uniform(0.5, 1.5, size=data.F.shape)
+        return lam, fit_factored(data, lam, W=W, opts=opts)[1]
+    if path in ("aux_joint", "aux_ridge"):
+        return lam, aux_joint_fit(data, aux, lam, joint_nuclear=path == "aux_joint",
+                                  opts=opts)[2]
+    if path == "ridge_zero_exit":
+        return 1.5 * lmax, aux_joint_fit(data, aux, 1.5 * lmax, joint_nuclear=False,
+                                         opts=opts)[2]
+    if path == "lambda_max_zero_exit":
+        lam = 1.5 * lmax
+    kwargs = {"kappa": dict(kappa=0.5), "huber": dict(loss=huber(0.5))}.get(path, {})
+    return lam, fit_factored(data, lam, opts=opts, **kwargs)[1]
+
+
+@pytest.mark.parametrize("path,expected", [
+    ("gram_certified", True), ("gram_width_bound", False), ("rank_one_w", None),
+    ("w_not_rank_one", None), ("kappa", None), ("huber", None), ("aux_joint", None),
+    ("aux_ridge", None), ("lambda_max_zero_exit", True), ("ridge_zero_exit", True),
+])
+def test_converged_is_the_certificate_on_every_path(path, expected):
+    # converged has one definition, whichever engine or exit made the fit
+    rng = np.random.default_rng(7)
+    data = rand_instance(rng, N=30)
+    lam, report = _fit_on_path(path, data, rng)
+    assert report.converged == (max(report.optimality_residuals) <= CERT_TOL * lam)
+    if expected is not None:
+        assert report.converged is expected
+    if path.endswith("zero_exit"):
+        assert report.sweeps == 0 and report.rank == 0
+
+
+def test_l1_and_unpenalized_fits_are_not_converged():
+    # l1 has no certificate, even at its exact theta = 0 exit; at lam = 0
+    # the certificate's scale is 0
+    data = l1_instance(0)
+    lam = 0.2 * lambda_max(data.P, data.F)
+    model, report = fit_auto_rank(data, lam, loss=Loss(kind=L1))
+    assert report.sweeps == 0 and not model.theta().any()
+    assert report.optimality_residuals is None and report.converged is False
+    _, report = fit_factored(data, 0.0, opts=FitOptions(k=4))
+    assert report.optimality_residuals is not None and report.converged is False
+
+
+@pytest.mark.parametrize("lam,kappa", [
+    (math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0), (0.1, math.nan), (0.1, math.inf),
+    (0.1, -1.0),
+])
+def test_penalties_must_be_finite_and_nonnegative(rng, lam, kappa):
+    data = rand_instance(rng)
+    bad = lam if not 0 <= lam < math.inf else kappa
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got .*{bad}"):
+        fit_factored(data, lam, kappa, opts=FitOptions(k=2))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        svt_reference_solve(data, lam, kappa)
