@@ -16,7 +16,8 @@ centered past windows, wrapped in a FullForecaster:
     forecaster whose rank is at most the latent dimension.
 
 Both end in one propagation, _propagate; ss_autocov and cond_mean_forecaster
-do not use it, so they stay an independent check on both.
+do not use it, so they stay an independent check on both.  The solves are
+scipy's: cho_solve, and solve_discrete_lyapunov for the stationary covariance.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_discrete_lyapunov
 
 from .core import TimeSeries, WindowedDataset, build_windows
 from .objective import Loss
-from .solver import LowRankForecaster, NumericalError
+from .solver import LowRankForecaster, NumericalError, reduce_rank
 
 
 @dataclass
@@ -76,10 +78,11 @@ class StateSpaceModel:
     R: np.ndarray
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
-        self.Q = np.asarray(self.Q, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
+        for name in ("A", "C", "Q", "R"):
+            X = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(X).all():
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, X)
         r = self.A.shape[0]
         if self.A.shape != (r, r):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -123,6 +126,8 @@ class AutocovSet:
         for i, S in enumerate(self.sigmas):
             if S.shape != (n, n):
                 raise ValueError(f"lag-{i} autocovariance has shape {S.shape}, expected ({n}, {n})")
+            if not np.isfinite(S).all():
+                raise ValueError(f"lag-{i} autocovariance must be finite")
         if np.max(np.abs(self.sigmas[0] - self.sigmas[0].T)) > 1e-10 * max(
             1.0, float(np.max(np.abs(self.sigmas[0])))
         ):
@@ -149,14 +154,7 @@ def ridge_fit(data: WindowedDataset, lam: float, means: np.ndarray | None = None
 def _ridge_solve(X: np.ndarray, Y: np.ndarray, c: float, msg: str) -> np.ndarray:
     """(X^T X + c I)^{-1} X^T Y by Cholesky; NumericalError(msg) when singular."""
     chol = _spd_cholesky(X.T @ X + c * np.eye(X.shape[1]), msg)
-    return _chol_solve(chol, X.T @ Y)
-
-
-def _chol_solve(chol: np.ndarray, B: np.ndarray) -> np.ndarray:
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(chol, B, lower=True)
-    return solve_triangular(chol.T, y, lower=False)
+    return cho_solve((chol, True), X.T @ Y)
 
 
 def _spd_cholesky(G: np.ndarray, msg: str) -> np.ndarray:
@@ -228,7 +226,7 @@ def cond_mean_forecaster(
         Spp + jitter * np.eye(M * n),
         "past-window covariance is not positive definite at this jitter; increase jitter",
     )
-    theta = _chol_solve(chol, Spf)
+    theta = cho_solve((chol, True), Spf)
     return FullForecaster(theta=theta, n=n, M=M, H=H, means=means)
 
 
@@ -293,33 +291,16 @@ def _propagate(C: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
     return np.vstack(stack)[C.shape[0] :]
 
 
-def stationary_cov(A: np.ndarray, Q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solves P = A P A^T + Q by fixed-point iteration with doubling.
+def stationary_cov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solves P = A P A^T + Q with scipy's discrete Lyapunov solver, symmetrized.
 
-    Accumulates sum_i A^i Q (A^i)^T, squaring A each round so convergence
-    is doubly geometric for stable A.
+    P exists and is unique only for stable A, so a spectral radius >= 1 raises.
     """
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    S = Q.copy()
-    X = A.copy()
-    # overflow is how divergence announces itself here, not an error
-    with np.errstate(over="ignore"):
-        for _ in range(200):
-            incr = X @ S @ X.T
-            S = S + incr
-            if not np.all(np.isfinite(S)):
-                break
-            # max-abs norms: a Frobenius norm would overflow to inf while
-            # the entries are still finite, and inf <= inf reads as converged
-            if float(np.abs(incr).max()) <= tol * max(1.0, float(np.abs(S).max())):
-                return 0.5 * (S + S.T)
-            X = X @ X
-            if not np.all(np.isfinite(X)):
-                break
-    raise NumericalError(
-        "stationary covariance iteration did not converge; is A stable?"
-    )
+    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+    if rho >= 1.0:
+        raise NumericalError(f"no stationary covariance at spectral radius {rho:.6g}; is A stable?")
+    S = solve_discrete_lyapunov(A, Q)
+    return 0.5 * (S + S.T)
 
 
 def ss_autocov(model: StateSpaceModel, L: int) -> AutocovSet:
@@ -389,7 +370,7 @@ def ss_forecaster(
             f"the state: the observability matrix has rank below r={r}"
         )
     chol = _spd_cholesky(J, "smoother information matrix is numerically singular")
-    K = _chol_solve(chol, np.kron(np.eye(M), CtRinv))[-r:]
+    K = cho_solve((chol, True), np.kron(np.eye(M), CtRinv))[-r:]
     stack = _propagate(C, A, H)
     theta = (stack @ K).T
     return K, stack, FullForecaster(theta=theta, n=model.n, M=M, H=H, means=means)
@@ -407,17 +388,15 @@ def mean_forecaster(series: TimeSeries | np.ndarray, M: int, H: int) -> FullFore
     return zero_forecaster(series.n, M, H, means=series.values.mean(axis=0))
 
 
-def to_low_rank(full: FullForecaster, rank: int, tol: float = 1e-8) -> LowRankForecaster:
-    """Truncated-SVD compression of a dense forecaster to a given rank."""
+def to_low_rank(full: FullForecaster, rank: int) -> LowRankForecaster:
+    """Truncated SVD: reduce_rank(theta, I) cut to `rank` columns; RANK_TOL may leave fewer."""
     if rank < 0 or rank > min(full.theta.shape):
         raise ValueError(f"rank must be in [0, {min(full.theta.shape)}]")
-    Ut, s, Vt = np.linalg.svd(full.theta, full_matrices=False)
-    r = min(rank, int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0)
-    root = np.sqrt(s[:r])
+    U, V, (_, s, _) = reduce_rank(full.theta, np.eye(full.theta.shape[1]))
     return LowRankForecaster(
-        U=Ut[:, :r] * root[None, :],
-        V=(root[:, None] * Vt[:r]),
-        singular_values=s[:r],
+        U=U[:, :rank],
+        V=V[:rank],
+        singular_values=s[:rank],
         n=full.n,
         M=full.M,
         H=full.H,

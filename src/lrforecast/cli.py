@@ -347,10 +347,6 @@ def cmd_detrend(args) -> int:
     series = read_series_csv(args.input)
     if args.aux:
         aux_mat = read_series_csv(args.aux).values
-        if aux_mat.shape[0] != series.T:
-            raise ValueError(
-                f"aux CSV has {aux_mat.shape[0]} rows for a series of length {series.T}"
-            )
         spec = None
     else:
         spec = _features_from(args)

@@ -51,6 +51,8 @@ STALL_TOL = 1e-8
 # a certificate costs more than a sweep, so the Gram path takes it only after
 # sweeps 1, 1 + CERT_EVERY, 1 + 2 CERT_EVERY, ... and max_outer
 CERT_EVERY = 5
+# reduce_rank drops singular values at or below RANK_TOL times the largest
+RANK_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -75,7 +77,7 @@ class FitOptions:
         random ones drawn from default_rng(seed) at standard deviation
         std(F)/sqrt(k), U's block first; None is the k0 = 0 case, a
         fully random start.  Reduced factors keep singular values above
-        1e-8 times the largest.
+        RANK_TOL times the largest (see reduce_rank).
     """
 
     k: int = 20
@@ -184,7 +186,7 @@ class LowRankForecaster:
 
 
 def reduce_rank(
-    U: np.ndarray, V: np.ndarray, tol: float = 1e-8
+    U: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Reduced, balanced factors of the product U V plus its SVD.
 
@@ -192,7 +194,7 @@ def reduce_rank(
     factor-sized SVD (never forming theta): with U = Q R and
     R V = Ua S Vt, theta = (Q Ua) S Vt.
 
-    Singular values at or below tol * max(S) are dropped.  Returns
+    Singular values at or below RANK_TOL * max(S) are dropped.  Returns
     (U_r, V_r, (U_theta, sigma, V_theta)) with U_r = U_theta sqrt(sigma)
     and V_r = sqrt(sigma) V_theta^T, so U_r V_r = theta and the factors
     are balanced.
@@ -201,8 +203,6 @@ def reduce_rank(
     V = np.asarray(V, dtype=float)
     if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[0]:
         raise ValueError(f"incompatible factor shapes {U.shape} and {V.shape}")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     m, k = U.shape
     h = V.shape[1]
     if k == 0 or not (U.any() and V.any()):
@@ -210,7 +210,7 @@ def reduce_rank(
         return np.zeros((m, 0)), np.zeros((0, h)), (np.zeros((m, 0)), empty, np.zeros((h, 0)))
     Q, Ru = np.linalg.qr(U)
     Ua, sa, Vat = np.linalg.svd(Ru @ V, full_matrices=False)
-    r = int(np.sum(sa > tol * sa[0])) if sa[0] > 0 else 0
+    r = int(np.sum(sa > RANK_TOL * sa[0])) if sa[0] > 0 else 0
     U_theta, sa, V_theta = Q @ Ua[:, :r], sa[:r], Vat[:r].T
     root = np.sqrt(sa)
     return U_theta * root[None, :], (V_theta * root[None, :]).T, (U_theta, sa, V_theta)

@@ -2,14 +2,15 @@
 
 Independent oracles used here: a literal block-Toeplitz assembly for the
 conditional-mean forecaster, companion-form state-space models for AR
-processes, the joint-Gaussian gain formula for the window smoother, a
-discrete Lyapunov solve from scipy, and a long simulated sample for the
+processes, the joint-Gaussian gain formula for the window smoother, the
+residual of the Lyapunov equation, and a long simulated sample for the
 state-space autocovariances.
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_lyapunov
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from lrforecast import (
@@ -36,6 +37,7 @@ from lrforecast import (
     zero_forecaster,
 )
 from lrforecast.baselines import _spd_cholesky
+from lrforecast.solver import RANK_TOL, reduce_rank
 
 
 def rand_windows(rng, N=30, n=2, M=3, H=2):
@@ -410,15 +412,25 @@ def test_stationary_cov_closed_forms():
     assert np.allclose(stationary_cov(np.zeros((2, 2)), Q), Q)
 
 
-def test_stationary_cov_matches_scipy(rng):
-    for _ in range(5):
-        A = rng.normal(size=(3, 3))
-        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
-        G = rng.normal(size=(3, 3))
-        Q = G @ G.T
-        ours = stationary_cov(A, Q)
-        ref = solve_discrete_lyapunov(A, Q)
-        assert np.allclose(ours, ref, atol=1e-10 * max(1.0, np.linalg.norm(ref)))
+# r < 10 takes scipy's direct solve, r >= 10 its bilinear-transform one
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    r=st.integers(1, 12),
+    rho=st.floats(0.0, 0.99),
+    q_rank=st.integers(1, 12),
+)
+def test_stationary_cov_solves_lyapunov_property(seed, r, rho, q_rank):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(r, r))
+    A *= rho / max(abs(np.linalg.eigvals(A)))
+    G = rng.normal(size=(r, min(q_rank, r)))
+    Q = G @ G.T  # PSD, singular when q_rank < r
+    P = stationary_cov(A, Q)
+    scale = np.linalg.norm(P)
+    assert np.linalg.norm(P - A @ P @ A.T - Q) <= 1e-10 * scale
+    assert np.array_equal(P, P.T)
+    assert np.linalg.eigvalsh(P).min() >= -1e-12 * scale
 
 
 def test_stationary_cov_unstable_raises():
@@ -602,3 +614,42 @@ def test_to_low_rank_truncates(rng):
         to_low_rank(full, rank=99)
     everything = to_low_rank(full, rank=min(full.theta.shape))
     assert np.allclose(everything.theta(), full.theta, atol=1e-10)
+
+
+def test_to_low_rank_is_reduce_rank_cut_to_rank(rng):
+    full = ridge_fit(rand_windows(rng, N=40), 0.1)
+    Ur, Vr, (_, sig, _) = reduce_rank(full.theta, np.eye(full.theta.shape[1]))
+    for rank in range(min(full.theta.shape) + 1):
+        lr = to_low_rank(full, rank)
+        assert lr.rank == rank
+        assert np.allclose(lr.theta(), Ur[:, :rank] @ Vr[:rank], rtol=0, atol=1e-12)
+        assert np.allclose(lr.singular_values, sig[:rank], rtol=1e-12, atol=0)
+        # balanced: U^T U = V V^T = diag(singular values)
+        assert np.allclose(lr.U.T @ lr.U, np.diag(lr.singular_values), atol=1e-12)
+        assert np.allclose(lr.V @ lr.V.T, np.diag(lr.singular_values), atol=1e-12)
+    assert to_low_rank(FullForecaster(np.zeros((6, 4)), n=2, M=3, H=2), 2).rank == 0
+
+
+def test_to_low_rank_drops_singular_values_at_rank_tol(rng):
+    Qm, _ = np.linalg.qr(rng.normal(size=(6, 3)))
+    Qh, _ = np.linalg.qr(rng.normal(size=(4, 3)))
+    for tiny, rank in ((0.5 * RANK_TOL, 2), (2 * RANK_TOL, 3)):
+        theta = (Qm * np.array([1.0, 0.5, tiny])) @ Qh.T
+        lr = to_low_rank(FullForecaster(theta, n=2, M=3, H=2), 3)
+        assert lr.rank == rank, tiny
+
+
+@pytest.mark.parametrize("name", ["A", "C", "Q", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_space_model_rejects_non_finite(name, bad):
+    mats = {"A": 0.5 * np.eye(2), "C": np.ones((3, 2)), "Q": np.eye(2), "R": np.eye(3)}
+    mats[name][0, 0] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        StateSpaceModel(**mats)
+
+
+def test_autocov_set_rejects_non_finite():
+    with pytest.raises(ValueError, match="lag-1 autocovariance must be finite"):
+        AutocovSet([np.eye(2), np.array([[0.5, np.inf], [0.0, 0.5]])])
+    with pytest.raises(ValueError, match="lag-0 autocovariance must be finite"):
+        AutocovSet([np.full((2, 2), np.nan)])

@@ -755,6 +755,17 @@ def test_numerical_failures_exit_three(sim, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_detrend_aux_of_wrong_length_exits_two(sim, tmp_path, capsys):
+    aux = tmp_path / "aux.csv"
+    aux.write_text("a\n" + "".join("%d\n" % i for i in range(59)))
+    out, trend = tmp_path / "resid.csv", tmp_path / "t.json"
+    assert run(
+        "detrend", "--input", sim / "train.csv", "--aux", aux, "--out", out, "--trend-out", trend,
+    ) == 2
+    assert "aux has 59 rows for a series of length 60" in capsys.readouterr().err
+    assert not out.exists() and not trend.exists()
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])

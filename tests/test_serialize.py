@@ -478,6 +478,21 @@ def test_ss_json_missing_field():
         ss_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "patch, name",
+    [
+        ({"C": [[float("nan")]], "R": [[float("inf")]]}, "C"),
+        ({"Q": [[float("nan")]]}, "Q"),
+        # used to reach eigvals and raise LinAlgError
+        ({"A": [[float("nan")]]}, "A"),
+    ],
+)
+def test_ss_json_rejects_non_finite_matrices(patch, name):
+    doc = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], **patch}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ss_from_json(doc)
+
+
 # ------------------------------------------------------------------ sweep CSV
 
 
