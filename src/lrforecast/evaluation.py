@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import TimeSeries, build_windows, center
 from .features import ModelBundle, origin_times
-from .objective import Loss, inconsistency, loss_value
+from .objective import Loss, _elementwise_penalty, inconsistency
 from .solver import FitOptions, fit_auto_rank, lambda_max
 
 SWEEP_CSV_COLUMNS = (
@@ -42,18 +42,16 @@ def evaluate_forecasts(
     """Metrics for a precomputed forecast matrix against realized futures."""
     Fhat = np.asarray(Fhat, dtype=float)
     F = np.asarray(F, dtype=float)
-    H = F.shape[1] // n
-    per_h = np.array(
-        [
-            loss_value(Fhat[:, h * n : (h + 1) * n], F[:, h * n : (h + 1) * n], loss)
-            for h in range(H)
-        ]
-    )
+    if Fhat.shape != F.shape:
+        raise ValueError(f"shape mismatch: Fhat {Fhat.shape} vs F {F.shape}")
+    N, H = F.shape[0], F.shape[1] // n
+    # one penalty array scores the total, summed as loss_value sums it, and each
+    # horizon; it is freed before inconsistency allocates its own N x Hn arrays
+    penalty = _elementwise_penalty(Fhat - F, loss)
+    total, per_h = float(penalty.sum() / N), penalty.reshape(N, H, n).sum(axis=(0, 2)) / N
+    del penalty
     return EvalResult(
-        loss=loss_value(Fhat, F, loss),
-        inconsistency=inconsistency(Fhat, n),
-        per_horizon_loss=per_h,
-        n_windows=F.shape[0],
+        loss=total, inconsistency=inconsistency(Fhat, n), per_horizon_loss=per_h, n_windows=N
     )
 
 
@@ -92,14 +90,18 @@ class SweepRow:
     converged: bool = False  # the fit's FitReport.converged; not in the CSV
 
 
+# rows within a factor (1 + TIE_TOL) of the best test loss tie in SweepTable.best
+TIE_TOL = 0.01
+
+
 @dataclass
 class SweepTable:
     rows: list[SweepRow] = field(default_factory=list)
 
-    def best(self, tie_tol: float = 0.01) -> SweepRow:
+    def best(self) -> SweepRow:
         """Row minimizing test loss, near-ties toward larger alpha then kappa.
 
-        Rows within (1 + tie_tol) of the minimum test loss are considered
+        Rows within (1 + TIE_TOL) of the minimum test loss are considered
         tied; the tied row with the largest alpha (then largest kappa)
         wins, preferring stronger regularization at equal quality.
         """
@@ -107,7 +109,7 @@ class SweepTable:
         if not ok:
             raise ValueError("sweep produced no successful rows")
         lo = min(r.test_loss for r in ok)
-        tied = [r for r in ok if r.test_loss <= lo * (1.0 + tie_tol)]
+        tied = [r for r in ok if r.test_loss <= lo * (1.0 + TIE_TOL)]
         return max(tied, key=lambda r: (r.alpha, r.kappa))
 
 

@@ -28,13 +28,18 @@ from .objective import Loss
 from .solver import FitOptions, FitReport, LowRankForecaster, _fit_design
 
 
+HOURS_PER_DAY = 24
+DAYS_PER_WEEK = 7
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Deterministic time features evaluated on an integer time index.
 
-    periods: one sin/cos column pair per period (in index steps);
-    weekday: append a binary flag, 1 when (t // hours_per_day) mod
-        days_per_week falls on the first five days;
+    periods: one sin/cos column pair per finite, positive period (in steps);
+    weekday: append a binary flag that reads time steps as hours, 1 when
+        (t // HOURS_PER_DAY) mod DAYS_PER_WEEK falls on the first five
+        days of a 7-day week;
     products: append all ordered pairwise products of the base columns
         (including squares), giving base + base^2 columns in total.
     """
@@ -42,13 +47,11 @@ class FeatureSpec:
     periods: tuple[float, ...] = ()
     weekday: bool = False
     products: bool = False
-    hours_per_day: int = 24
-    days_per_week: int = 7
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
-        if any(p <= 0 for p in self.periods):
-            raise ValueError("periods must be positive")
+        if not all(0 < p < np.inf for p in self.periods):
+            raise ValueError(f"periods must be finite and positive, got {self.periods}")
         if not self.periods and not self.weekday:
             raise ValueError("feature spec is empty")
 
@@ -62,22 +65,18 @@ class FeatureSpec:
         return b + b * b if self.products else b
 
     def to_json(self) -> dict:
-        return {
-            "periods": list(self.periods),
-            "weekday": self.weekday,
-            "products": self.products,
-            "hours_per_day": self.hours_per_day,
-            "days_per_week": self.days_per_week,
-        }
+        return {"periods": list(self.periods), "weekday": self.weekday, "products": self.products}
 
     @staticmethod
     def from_json(obj: dict) -> "FeatureSpec":
+        # older documents carry the fixed week as two keys; no other value means it
+        for key, fixed in (("hours_per_day", HOURS_PER_DAY), ("days_per_week", DAYS_PER_WEEK)):
+            if obj.get(key, fixed) != fixed:
+                raise ValueError(f"feature key {key} must be {fixed}, got {obj[key]!r}")
         return FeatureSpec(
             periods=tuple(obj.get("periods", ())),
             weekday=bool(obj.get("weekday", False)),
             products=bool(obj.get("products", False)),
-            hours_per_day=int(obj.get("hours_per_day", 24)),
-            days_per_week=int(obj.get("days_per_week", 7)),
         )
 
 
@@ -90,7 +89,7 @@ def time_features(t_index: np.ndarray, spec: FeatureSpec) -> np.ndarray:
         cols.append(np.sin(ang))
         cols.append(np.cos(ang))
     if spec.weekday:
-        day = (np.asarray(t_index).astype(int) // spec.hours_per_day) % spec.days_per_week
+        day = (np.asarray(t_index).astype(int) // HOURS_PER_DAY) % DAYS_PER_WEEK
         cols.append((day < 5).astype(float))
     base = np.column_stack(cols)
     if not spec.products:
@@ -101,7 +100,7 @@ def time_features(t_index: np.ndarray, spec: FeatureSpec) -> np.ndarray:
 
 @dataclass
 class TrendModel:
-    """A per-time linear baseline x_t ~ S a_t for feature rows a_t."""
+    """A per-time linear baseline x_t ~ S a_t for feature rows a_t; S finite, lam >= 0."""
 
     S: np.ndarray
     lam: float = 0.0
@@ -110,7 +109,12 @@ class TrendModel:
     def __post_init__(self):
         self.S = np.asarray(self.S, dtype=float)
         if self.S.ndim != 2:
-            raise ValueError("S must be 2-D (n x p)")
+            raise ValueError("trend S must be a matrix")
+        for name, value in (("S", self.S), ("lam", self.lam)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"trend field {name} has a non-finite value")
+        if self.lam < 0:
+            raise ValueError(f"trend lam must be nonnegative, got {self.lam}")
 
 
 def _aux_rows(series: TimeSeries, trend_or_spec, aux: np.ndarray | None) -> np.ndarray:
@@ -140,8 +144,8 @@ def detrend_fit(
     """
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     A = _aux_rows(series, features, aux)
     St = _ridge_solve(A, series.values, series.T * lam,
                       "aux features are rank deficient at lam=0; pass lam > 0")
@@ -189,14 +193,23 @@ class ModelBundle:
     """A fitted forecaster with the trend and aux terms that apply it to a series.
 
     The trend is removed before centering (retrend adds it back to
-    forecasts); phi (p x Hn) weighs the aux_features rows at each forecast
-    origin.  A bare forecaster is the bundle with no attachments.
+    forecasts); phi, finite p x Hn, weighs the aux_features rows at each
+    forecast origin.  A bare forecaster is the bundle with no attachments.
     """
 
     model: LowRankForecaster
     trend: TrendModel | None = None
     phi: np.ndarray | None = None
     aux_features: FeatureSpec | None = None
+
+    def __post_init__(self):
+        if self.phi is not None:
+            self.phi = np.asarray(self.phi, dtype=float)
+            hn = self.model.H * self.model.n
+            if self.phi.ndim != 2 or self.phi.shape[1] != hn:
+                raise ValueError(f"aux Phi has shape {self.phi.shape}, want p x {hn}")
+            if not np.isfinite(self.phi).all():
+                raise ValueError("model field aux Phi has a non-finite value")
 
     def center(self, series: TimeSeries | np.ndarray) -> TimeSeries:
         """De-trends with the stored trend, if any, then centers with the model's means."""

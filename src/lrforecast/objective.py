@@ -78,8 +78,10 @@ def _check_weights(W: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _elementwise_penalty(U: np.ndarray, loss: Loss) -> np.ndarray:
+    # U is the caller's own residual array: squared l2 squares it in place,
+    # the same values with no second array of its size
     if loss.kind == SQUARED_L2:
-        return U * U
+        return np.multiply(U, U, out=U)
     if loss.kind == L1:
         return np.abs(U)
     d = loss.delta
@@ -114,11 +116,7 @@ def loss_value(
     R = Fhat - F
     if W is not None:
         R = _check_weights(W, R.shape) * R
-    N = R.shape[0]
-    if loss.kind == SQUARED_L2:
-        # R is this call's own array, so it is squared in place: same values, no copy
-        return float(np.multiply(R, R, out=R).sum() / N)
-    return float(_elementwise_penalty(R, loss).sum() / N)
+    return float(_elementwise_penalty(R, loss).sum() / R.shape[0])
 
 
 def loss_grad(

@@ -15,9 +15,9 @@ non-consecutive t, or a value that is not a finite number is rejected
 with a ValueError naming the first offending line.
 
 JSON documents are dumped with sorted keys and a fixed indent so
-identical inputs produce bytewise-identical files.  A model or trend
-document holding NaN or Infinity, which Python's json reads, is rejected
-with a ValueError naming the field.
+identical inputs produce bytewise-identical files.  The model and trend
+readers only parse; the objects they build check themselves, so NaN or
+Infinity (which Python's json reads) is rejected naming the field.
 """
 
 from __future__ import annotations
@@ -187,13 +187,6 @@ def write_matrix_csv(
 # ----------------------------------------------------------------- model JSON
 
 
-def _require_finite(document: str, fields) -> None:
-    # json reads NaN and Infinity, which no fitted model or trend holds
-    for name, value in fields:
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{document} field {name} has a non-finite value")
-
-
 def model_to_json(
     model: LowRankForecaster,
     trend: TrendModel | None = None,
@@ -232,41 +225,24 @@ def model_from_json(doc: dict) -> ModelBundle:
     if missing:
         raise ValueError(f"model document missing fields: {', '.join(missing)}")
     n, M, H, rank = (int(doc[k]) for k in ("n", "M", "H", "rank"))
-    lam, kappa = float(doc["lambda"]), float(doc["kappa"])
-    if min(n, M, H) < 1 or rank < 0 or lam < 0 or kappa < 0:
-        raise ValueError("model document has out-of-range scalar fields")
-    if rank == 0:
-        U = np.zeros((M * n, 0))
-        V = np.zeros((0, H * n))
+    if rank < 0:
+        raise ValueError(f"model document has out-of-range rank {rank}")
+    if rank == 0:  # json writes a rank-0 V as []; the model checks n, M and H
+        U, V = np.zeros((max(M * n, 0), 0)), np.zeros((0, max(H * n, 0)))
     else:
         U = np.array(doc["U"], dtype=float)
         V = np.array(doc["V"], dtype=float)
-    sigma = np.array(doc["singular_values"], dtype=float)
-    means = np.array(doc["means"], dtype=float)
-    _require_finite("model", [("lambda", lam), ("kappa", kappa), ("U", U), ("V", V),
-                              ("singular_values", sigma), ("means", means)])
-    if U.shape != (M * n, rank) or V.shape != (rank, H * n):
-        raise ValueError(
-            f"factor shapes {U.shape} x {V.shape} do not match "
-            f"(Mn={M * n}, rank={rank}, Hn={H * n})"
-        )
-    if sigma.shape != (rank,) or means.shape != (n,):
-        raise ValueError("singular_values/means have wrong lengths")
+        if U.ndim != 2 or U.shape[1] != rank:
+            raise ValueError(f"factor shapes: U is {U.shape}, the document's rank is {rank}")
     model = LowRankForecaster(
-        U=U, V=V, singular_values=sigma, n=n, M=M, H=H,
-        lam=lam, kappa=kappa, loss=Loss.from_json(doc["loss"]), means=means,
+        U=U, V=V, singular_values=doc["singular_values"], n=n, M=M, H=H,
+        lam=float(doc["lambda"]), kappa=float(doc["kappa"]),
+        loss=Loss.from_json(doc["loss"]), means=doc["means"],
     )
     trend = trend_from_json(doc["trend"]) if doc.get("trend") else None
-    phi = None
-    aux_features = None
-    if doc.get("aux"):
-        phi = np.array(doc["aux"]["Phi"], dtype=float)
-        if phi.ndim != 2 or phi.shape[1] != H * n:
-            raise ValueError(f"aux Phi has shape {phi.shape}, want p x {H * n}")
-        _require_finite("model", [("aux Phi", phi)])
-        if doc["aux"].get("features"):
-            aux_features = FeatureSpec.from_json(doc["aux"]["features"])
-    return ModelBundle(model=model, trend=trend, phi=phi, aux_features=aux_features)
+    aux = doc.get("aux") or {}
+    feats = FeatureSpec.from_json(aux["features"]) if aux.get("features") else None
+    return ModelBundle(model, trend, phi=aux["Phi"] if aux else None, aux_features=feats)
 
 
 def save_model_json(path: str, model: LowRankForecaster, **extras) -> None:
@@ -289,13 +265,8 @@ def trend_to_json(trend: TrendModel) -> dict:
 
 
 def trend_from_json(doc: dict) -> TrendModel:
-    S = np.array(doc["S"], dtype=float)
-    if S.ndim != 2:
-        raise ValueError("trend S must be a matrix")
-    lam = float(doc.get("lam", 0.0))
-    _require_finite("trend", [("S", S), ("lam", lam)])
     feats = FeatureSpec.from_json(doc["features"]) if doc.get("features") else None
-    return TrendModel(S=S, lam=lam, features=feats)
+    return TrendModel(S=doc["S"], lam=float(doc.get("lam", 0.0)), features=feats)
 
 
 def ss_to_json(model: StateSpaceModel, spec: SimSpec | None = None) -> dict:

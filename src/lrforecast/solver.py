@@ -132,6 +132,10 @@ class LowRankForecaster:
     ||U||_F^2 = ||V||_F^2 = sum(singular_values).  Forecasts operate on
     centered windows; `means` records the per-coordinate offsets that
     were removed before fitting.
+
+    Every model, fitted, loaded or built by hand, is checked on
+    construction: n, M, H >= 1, lam and kappa >= 0, the shapes above
+    (r singular values, n means) and that every number is finite.
     """
 
     U: np.ndarray
@@ -146,18 +150,23 @@ class LowRankForecaster:
     means: np.ndarray
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float).reshape(self.M * self.n, -1)
-        self.V = np.asarray(self.V, dtype=float).reshape(-1, self.H * self.n)
-        self.singular_values = np.asarray(self.singular_values, dtype=float).reshape(-1)
-        self.means = np.asarray(self.means, dtype=float).reshape(-1)
-        if self.U.shape[1] != self.V.shape[0]:
-            raise ValueError(
-                f"factor shapes are inconsistent: U is {self.U.shape}, V is {self.V.shape}"
-            )
-        if self.singular_values.shape[0] != self.U.shape[1]:
-            raise ValueError("need one singular value per factor column")
-        if self.means.shape[0] != self.n:
-            raise ValueError(f"means has length {self.means.shape[0]}, expected {self.n}")
+        self.U, self.V, self.singular_values, self.means = (
+            np.asarray(a, dtype=float) for a in (self.U, self.V, self.singular_values, self.means)
+        )
+        n, mn, hn = self.n, self.M * self.n, self.H * self.n
+        if min(n, self.M, self.H) < 1 or self.lam < 0 or self.kappa < 0:
+            raise ValueError(f"model has out-of-range scalars: n={n}, M={self.M}, "
+                             f"H={self.H}, lambda={self.lam}, kappa={self.kappa}")
+        if self.U.ndim != 2 or self.U.shape[0] != mn or self.V.shape != (self.U.shape[1], hn):
+            raise ValueError(f"factor shapes {self.U.shape} x {self.V.shape} do not match "
+                             f"(Mn={mn}, Hn={hn})")
+        if self.singular_values.shape != (self.rank,) or self.means.shape != (n,):
+            raise ValueError("singular_values/means have wrong lengths")
+        for name, value in (("lambda", self.lam), ("kappa", self.kappa), ("U", self.U),
+                            ("V", self.V), ("singular_values", self.singular_values),
+                            ("means", self.means)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"model field {name} has a non-finite value")
 
     @property
     def rank(self) -> int:

@@ -721,6 +721,16 @@ def test_non_finite_penalties_exit_two(small, tmp_path, capsys, penalty):
     assert not model_out.exists()
 
 
+@pytest.mark.parametrize("period", ["nan", "inf", "0"])
+def test_non_finite_period_exits_two(small, tmp_path, capsys, period):
+    model_out = tmp_path / "m.json"
+    assert run("fit", "--train", small / "train.csv", "--M", 3, "--H", 2, "--alpha", 0.3,
+               "--periods", f"12,{period}", "--model-out", model_out,
+               "--report-out", tmp_path / "r.json") == 2
+    assert "periods must be finite and positive" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
 def test_sweep_with_non_finite_grid_exits_two(small, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--train", small / "train.csv", "--test", small / "test.csv",

@@ -49,6 +49,20 @@ def test_per_horizon_losses_partition_total(rng):
     assert np.isclose(res.inconsistency, inconsistency(Fhat, n))
 
 
+@pytest.mark.parametrize("loss", [Loss(), Loss("l1"), Loss("huber", delta=0.5)])
+def test_one_pass_scores_match_loss_value(rng, loss):
+    # the total sums the penalty array as loss_value does, so it is bitwise
+    # equal; each horizon sums in another order, so only to rounding
+    n, H, N = 3, 4, 200
+    Fhat = rng.normal(size=(N, H * n))
+    F = rng.normal(size=(N, H * n))
+    res = evaluate_forecasts(Fhat, F, n, loss)
+    assert res.loss == loss_value(Fhat, F, loss)
+    block = [loss_value(Fhat[:, h * n:(h + 1) * n], F[:, h * n:(h + 1) * n], loss)
+             for h in range(H)]
+    assert np.allclose(res.per_horizon_loss, block, rtol=1e-12, atol=0.0)
+
+
 def test_per_horizon_blocks_scored_separately(rng):
     # corrupt only the last horizon block: earlier entries stay exact
     n, H, N = 2, 3, 10

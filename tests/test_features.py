@@ -112,9 +112,23 @@ def test_feature_spec_validation_and_json():
         FeatureSpec(periods=(-24.0,))
     with pytest.raises(ValueError):
         FeatureSpec()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="periods must be finite and positive"):
+            FeatureSpec(periods=(24.0, bad))
     spec = hourly_weekly_spec()
     again = FeatureSpec.from_json(spec.to_json())
     assert again == spec
+
+
+def test_feature_json_week_is_fixed():
+    # older documents carry the fixed week as two keys, 24 and 7
+    doc = {"periods": [12.0], "weekday": True, "products": False}
+    assert FeatureSpec.from_json({**doc, "hours_per_day": 24, "days_per_week": 7}) == \
+        FeatureSpec.from_json(doc) == FeatureSpec(periods=(12.0,), weekday=True)
+    assert set(FeatureSpec.from_json(doc).to_json()) == {"periods", "weekday", "products"}
+    for key, value in (("hours_per_day", 12), ("days_per_week", 5)):
+        with pytest.raises(ValueError, match=f"feature key {key} must be"):
+            FeatureSpec.from_json({**doc, key: value})
 
 
 # ----------------------------------------------------------------- detrending
@@ -172,8 +186,9 @@ def test_detrend_errors(rng):
     detrend_fit(x, aux=dup, lam=1e-6)
     with pytest.raises(ValueError):
         detrend_fit(x, aux=np.ones((29, 1)))
-    with pytest.raises(ValueError):
-        detrend_fit(x, aux=np.ones((30, 1)), lam=-1.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            detrend_fit(x, aux=np.ones((30, 1)), lam=lam)
     with pytest.raises(ValueError):
         detrend_apply(x, TrendModel(S=np.zeros((2, 1))))  # no spec, no aux
     with pytest.raises(ValueError):

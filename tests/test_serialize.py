@@ -7,6 +7,7 @@ malformed input names the offending line.
 """
 
 import csv
+import dataclasses
 import json
 import re
 
@@ -19,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from lrforecast.baselines import StateSpaceModel
 from lrforecast.core import TimeSeries
 from lrforecast.evaluation import SWEEP_CSV_COLUMNS, SweepRow
-from lrforecast.features import FeatureSpec, TrendModel
+from lrforecast.features import FeatureSpec, ModelBundle, TrendModel
 from lrforecast.objective import Loss
 from lrforecast.serialize import (
     dump_json,
@@ -72,6 +73,11 @@ def make_model(rank=2, loss=None, n=2, M=3, H=2, seed=0):
         loss=loss if loss is not None else Loss(),
         means=rng.standard_normal(n),
     )
+
+
+def model_fields(model, **patch):
+    """The constructor arguments of a model, with some replaced."""
+    return {**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)}, **patch}
 
 
 def draw_matrix(data, *shape):
@@ -369,13 +375,20 @@ def test_model_json_missing_fields(tmp_path):
 
 @pytest.mark.parametrize(
     "patch",
-    [{"lambda": -0.1}, {"kappa": -1.0}, {"n": 0}, {"M": 0}, {"H": 0}, {"rank": -1}],
+    [{"lambda": -0.1}, {"kappa": -1.0}, {"n": 0}, {"M": 0}, {"H": 0}, {"rank": -1},
+     {"n": -1, "rank": 0}],
 )
 def test_model_json_rejects_out_of_range_scalars(patch):
     doc = model_to_json(make_model())
     doc.update(patch)
     with pytest.raises(ValueError, match="out-of-range"):
         model_from_json(doc)
+    # the constructor holds the same rule for a model built in the library;
+    # rank is U's width, not a field
+    fields = {{"lambda": "lam"}.get(k, k): v for k, v in patch.items() if k != "rank"}
+    if fields:
+        with pytest.raises(ValueError, match="out-of-range"):
+            LowRankForecaster(**model_fields(make_model(), **fields))
 
 
 def test_model_json_rejects_bad_shapes():
@@ -401,6 +414,15 @@ def test_model_json_rejects_bad_shapes():
     with pytest.raises(ValueError, match="aux Phi has shape"):
         model_from_json(doc)
 
+    # built in the library: a transposed factor is refused, not reshaped
+    model = make_model()
+    for patch in ({"U": model.U.T}, {"V": model.V.T}, {"U": model.U.ravel()}):
+        with pytest.raises(ValueError, match="factor shapes"):
+            LowRankForecaster(**model_fields(model, **patch))
+    for phi in (np.zeros((3, 5)), np.zeros(4)):
+        with pytest.raises(ValueError, match="aux Phi has shape"):
+            ModelBundle(model, phi=phi)
+
 
 @pytest.mark.parametrize("field", ["U", "V", "singular_values", "means", "lambda", "kappa",
                                    "aux Phi"])
@@ -418,6 +440,14 @@ def test_model_json_rejects_non_finite_numbers(field, value):
         doc[field][0][1] = value
     with pytest.raises(ValueError, match=f"model field {field} has a non-finite value"):
         model_from_json(doc)
+    # the same model or bundle built in the library is refused by the same rule
+    model = make_model()
+    with pytest.raises(ValueError, match=f"model field {field} has a non-finite value"):
+        if field == "aux Phi":
+            ModelBundle(model, phi=np.array(doc["aux"]["Phi"]))
+        else:
+            key = {"lambda": "lam"}.get(field, field)
+            LowRankForecaster(**model_fields(model, **{key: doc[field]}))
 
 
 @pytest.mark.parametrize("patch", [{"S": [[1.0, float("nan")]]}, {"S": [[float("inf")]]},
@@ -427,6 +457,15 @@ def test_trend_json_rejects_non_finite_numbers(patch):
     name = "S" if "S" in patch else "lam"
     with pytest.raises(ValueError, match=f"trend field {name} has a non-finite value"):
         trend_from_json(doc)
+    with pytest.raises(ValueError, match=f"trend field {name} has a non-finite value"):
+        TrendModel(S=doc["S"], lam=doc["lam"])
+
+
+def test_trend_rejects_negative_lam():
+    with pytest.raises(ValueError, match="trend lam must be nonnegative"):
+        TrendModel(S=[[1.0, 2.0]], lam=-0.5)
+    with pytest.raises(ValueError, match="trend lam must be nonnegative"):
+        trend_from_json({"S": [[1.0, 2.0]], "lam": -0.5})
 
 
 def test_model_json_float_fidelity():

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from conftest import fd_grad
+from lrforecast import solver
 from lrforecast import (
     FitOptions,
     L1,
@@ -750,6 +752,36 @@ def test_gram_path_agrees_with_reference_property(seed, n, M, H, frac, weighted)
 
 
 # ------------------------------------------------------------ joint L-BFGS
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 2),
+    M=st.integers(1, 3),
+    H=st.integers(1, 3),
+    N=st.integers(8, 20),
+    alpha=st.floats(0.05, 0.9),
+    kappa=st.sampled_from([0.0, 0.1, 1.0]),
+    huber_delta=st.sampled_from([None, 0.3, 1.0]),
+)
+def test_joint_path_agrees_with_reference_property(seed, n, M, H, N, alpha, kappa,
+                                                   huber_delta):
+    # kappa > 0 or a Huber loss routes the fit to the joint L-BFGS engine;
+    # it is held to acceptance check C3's bounds
+    if kappa == 0.0 and huber_delta is None:
+        kappa = 0.5
+    loss = Loss() if huber_delta is None else Loss("huber", delta=huber_delta)
+    data = rand_instance(np.random.default_rng(seed), N=N, n=n, M=M, H=H)
+    lam = alpha * lambda_max(data.P, data.F, loss)
+    with mock.patch.object(solver, "minimize", wraps=minimize) as spy:
+        model, report = fit_auto_rank(data, lam, kappa, loss)
+    assert spy.called
+    ref = main_objective(svt_reference_solve(data, lam, kappa, loss, tol=1e-12),
+                         data, lam, kappa, loss)
+    obj = main_objective(model.theta(), data, lam, kappa, loss)
+    assert abs(obj - ref) <= 1e-4 * abs(ref)
+    assert max(report.optimality_residuals) <= 1e-3 * lam
+
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
