@@ -34,7 +34,11 @@ from .solver import LowRankForecaster, NumericalError, reduce_rank
 
 @dataclass
 class FullForecaster:
-    """A dense linear forecaster f_hat = theta^T p on centered windows."""
+    """A dense linear forecaster f_hat = theta^T p on centered windows.
+
+    Checks itself as LowRankForecaster does: n, M, H >= 1, theta of shape
+    (Mn, Hn), means of shape (n,), and every number finite.
+    """
 
     theta: np.ndarray
     n: int
@@ -51,11 +55,12 @@ class FullForecaster:
                 f"theta has shape {self.theta.shape}, expected "
                 f"({self.M * self.n}, {self.H * self.n})"
             )
-        if self.means is None:
-            self.means = np.zeros(self.n)
-        self.means = np.asarray(self.means, dtype=float).reshape(-1)
-        if self.means.shape[0] != self.n:
-            raise ValueError(f"means has length {self.means.shape[0]}, expected {self.n}")
+        self.means = np.zeros(self.n) if self.means is None else np.asarray(self.means, dtype=float)
+        if self.means.shape != (self.n,):
+            raise ValueError(f"means has shape {self.means.shape}, expected ({self.n},)")
+        for name in ("theta", "means"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite value")
 
     def forecast(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)

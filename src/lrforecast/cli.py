@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .solver import FitOptions, NumericalError, fit_auto_rank, lambda_max
 
 
 # Every config key and the flag dest it fills; a dict is a nested group.
-# The solver group comes before the top-level seed, so solver.seed wins.
 CONFIG_KEYS = {
     "solver": {k: k for k in ("k", "max_outer", "seed")},
     "loss": {"kind": "loss", "delta": "delta"},  # or a bare kind string
@@ -63,7 +62,7 @@ CONFIG_KEYS = {
     "lambda": "lam",
     **{k: k for k in (
         "train", "test", "M", "H", "alpha", "kappa", "alphas", "kappas", "jobs",
-        "out", "model_out", "report_out", "trend", "warm_start", "seed",
+        "out", "model_out", "report_out", "trend", "warm_start",
     )},
 }
 
@@ -144,7 +143,7 @@ def _features_from(args) -> FeatureSpec | None:
     )
 
 
-def _weights_from(args, N, M, H, T, n):
+def _weights_from(args, N, H, n):
     h_t, h_tau, w_col = args.weight_h_t, args.weight_h_tau, args.weight_col
     if h_t is None and h_tau is None and w_col is None:
         return None
@@ -153,23 +152,14 @@ def _weights_from(args, N, M, H, T, n):
     w_col = np.ones(n) if w_col is None else np.asarray(w_col, dtype=float)
     if w_col.shape != (n,):
         raise ValueError(f"--weight-col needs {n} entries, got {w_col.shape[0]}")
-    return build_weights(h_t, h_tau, w_col, N, M, H, T)
+    return build_weights(h_t, h_tau, w_col, N, H)
 
 
 # ----------------------------------------------------------------- commands
 
 
 def cmd_simulate(args) -> int:
-    spec = SimSpec(
-        n=args.n,
-        r=args.rank,
-        T_train=args.T_train,
-        T_test=args.T_test,
-        spectral_radius=args.spectral_radius,
-        q_scale=args.q_scale,
-        r_scale=args.r_scale,
-        seed=args.seed,
-    )
+    spec = SimSpec(**{f.name: getattr(args, f.name) for f in fields(SimSpec)})
     model = gen_model(spec)
     train, Z = sample(model, spec.T_train, seed=spec.seed)
     test, _ = sample(model, spec.T_test, seed=spec.seed + 1)
@@ -211,7 +201,7 @@ def cmd_fit(args) -> int:
     series = read_series_csv(args.train)
     centered, means = center(series)
     data = build_windows(centered, M, H)
-    W = _weights_from(args, data.N, M, H, series.T, series.n)
+    W = _weights_from(args, data.N, H, series.n)
     if alpha is not None:
         lam = alpha * lambda_max(data.P, data.F, loss, W=W)
     trend = trend_from_json(load_json(args.trend)) if args.trend else None
@@ -241,27 +231,13 @@ def cmd_fit(args) -> int:
     save_model_json(model_out, model, trend=trend, phi=phi, aux_features=spec)
     # the input is already the trend's residual, so it is scored without the trend
     res = evaluate(ModelBundle(model, phi=phi, aux_features=spec), series, loss)
-    report_doc = {
-        "lambda": lam,
-        "alpha": alpha,
-        "kappa": kappa,
-        "loss": loss.to_json(),
-        "rank": model.rank,
-        "final_objective": report.final_objective,
-        "objective_trace": report.objective_trace,
-        "iterations": report.iterations,
-        "sweeps": report.sweeps,
-        "converged": report.converged,
-        "k_schedule": report.k_schedule,
-        "cap_reached": report.cap_reached,
-        "optimality_residuals": report.optimality_residuals,  # a tuple dumps as a list
-        "train_loss": res.loss,
-        "train_inconsistency": res.inconsistency,
-        "per_horizon_train_loss": res.per_horizon_loss.tolist(),
-        "n_windows": res.n_windows,
-        "wall_time_s": report.wall_time,
-    }
-    dump_json(report_out, report_doc)
+    report_doc = asdict(report)  # optimality_residuals' tuple dumps as a list
+    report_doc["wall_time_s"] = report_doc.pop("wall_time")
+    dump_json(report_out, {
+        **report_doc, "lambda": lam, "alpha": alpha, "kappa": kappa, "loss": loss.to_json(),
+        "train_loss": res.loss, "train_inconsistency": res.inconsistency,
+        "per_horizon_train_loss": res.per_horizon_loss.tolist(), "n_windows": res.n_windows,
+    })
     print(
         f"fit: rank={model.rank} lambda={lam:.6g} kappa={kappa:g} "
         f"objective={report.final_objective:.6g} train_loss={res.loss:.6g}"
@@ -304,15 +280,7 @@ def cmd_evaluate(args) -> int:
     bundle = load_model_json(args.model)
     series = read_series_csv(args.input)
     res = evaluate(bundle, series, bundle.model.loss)
-    dump_json(
-        args.out,
-        {
-            "loss": res.loss,
-            "inconsistency": res.inconsistency,
-            "per_horizon_loss": res.per_horizon_loss.tolist(),
-            "n_windows": res.n_windows,
-        },
-    )
+    dump_json(args.out, {**asdict(res), "per_horizon_loss": res.per_horizon_loss.tolist()})
     print(f"evaluate: loss={res.loss:.6g} inconsistency={res.inconsistency:.6g}")
     return 0
 
@@ -422,14 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a random stable state-space model")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--T-train", dest="T_train", type=int, default=100)
-    p.add_argument("--T-test", dest="T_test", type=int, default=500)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--rank", type=int, default=2, help="latent dimension")
-    p.add_argument("--spectral-radius", dest="spectral_radius", type=float, default=0.98)
-    p.add_argument("--q-scale", dest="q_scale", type=float, default=1.0)
-    p.add_argument("--r-scale", dest="r_scale", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SimSpec):  # r is the latent dimension, flagged --rank
+        flag = "--rank" if f.name == "r" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                       help="latent dimension" if f.name == "r" else None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a low-rank forecaster to a series CSV")

@@ -13,6 +13,7 @@ from .features import ModelBundle, origin_times
 from .objective import Loss, _elementwise_penalty, inconsistency
 from .solver import FitOptions, fit_auto_rank, lambda_max
 
+# the sweep CSV's headings: SweepRow's leading fields in order, lam as "lambda"
 SWEEP_CSV_COLUMNS = (
     "alpha",
     "kappa",

@@ -18,7 +18,7 @@ usable for interpretation or simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class FeatureSpec:
         return b + b * b if self.products else b
 
     def to_json(self) -> dict:
-        return {"periods": list(self.periods), "weekday": self.weekday, "products": self.products}
+        return asdict(self)  # the periods tuple dumps as a JSON list
 
     @staticmethod
     def from_json(obj: dict) -> "FeatureSpec":

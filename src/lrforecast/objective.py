@@ -72,8 +72,8 @@ def _check_weights(W: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if W.shape != shape:
         raise ValueError(f"weight matrix has shape {W.shape}, expected {shape}")
-    if np.any(W < 0):
-        raise ValueError("weights must be nonnegative")
+    if not 0.0 <= W.min() <= W.max() < np.inf:  # a NaN fails every comparison
+        raise ValueError("weights must be finite and nonnegative")
     return W
 
 
@@ -191,42 +191,33 @@ def inconsistency_grad(Z: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * (Z - hankel_project(Z, n))
 
 
-def build_weights(
-    h_t: float,
-    h_tau: float,
-    w_col: np.ndarray,
-    N: int,
-    M: int,
-    H: int,
-    T: int,
-) -> np.ndarray:
+def build_weights(h_t: float, h_tau: float, w_col: np.ndarray, N: int, H: int) -> np.ndarray:
     """Exponential recency weights for the N x Hn residual matrix.
 
-    Window i (0-indexed) has origin t = M + i; the block at horizon h
-    predicts time tau = t + h.  The weight on that block's entries is
+    Window i (0-indexed) predicts h = 1..H steps past its origin; its block
+    at horizon h targets the step N - 1 - i + H - h before the last target
+    of the last window (the end of the source series).  The weight on that
+    block's entries is
 
-        w = exp(log(0.5) / h_t) ** (tau - t)    (horizon decay)
-          * exp(log(0.5) / h_tau) ** (T - tau)  (recency decay)
-          * w_col                               (per-coordinate weights)
+        w = exp(log(0.5) / h_t) ** h                      (horizon decay)
+          * exp(log(0.5) / h_tau) ** (N - 1 - i + H - h)  (recency decay)
+          * w_col                                         (per-coordinate weights)
 
-    so h_t and h_tau are half-lives measured in steps.  T is the length of
-    the source series, consistent with N = T - M - H + 1.
+    so h_t and h_tau are half-lives measured in steps.  w_col must be
+    finite and nonnegative.
     """
     if not (h_t > 0 and h_tau > 0):
         raise ValueError(f"half-lives must be positive, got h_t={h_t}, h_tau={h_tau}")
-    if N < 1 or M < 1 or H < 1:
-        raise ValueError("N, M, H must be >= 1")
-    if T != N + M + H - 1:
-        raise ValueError(f"T={T} inconsistent with N+M+H-1={N + M + H - 1}")
+    if N < 1 or H < 1:
+        raise ValueError("N and H must be >= 1")
     w_col = np.asarray(w_col, dtype=float).reshape(-1)
-    if np.any(w_col < 0):
-        raise ValueError("w_col must be nonnegative")
+    if not np.all((w_col >= 0) & (w_col < np.inf)):
+        raise ValueError(f"w_col must be finite and nonnegative, got {w_col.tolist()}")
     n = w_col.shape[0]
     base_t = np.exp(np.log(0.5) / h_t)
     base_tau = np.exp(np.log(0.5) / h_tau)
     horizons = np.arange(1, H + 1)
-    origins = M + np.arange(N)
-    tau = origins[:, None] + horizons[None, :]  # N x H prediction times
-    w_block = base_t ** (tau - origins[:, None]) * base_tau ** (T - tau)
+    ago = (N - 1 - np.arange(N))[:, None] + (H - horizons)[None, :]  # N x H
+    w_block = base_t ** horizons[None, :] * base_tau ** ago
     W = w_block[:, :, None] * w_col[None, None, :]
     return W.reshape(N, H * n)

@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
+from dataclasses import astuple
 from typing import NoReturn
 
 import numpy as np
@@ -293,9 +294,9 @@ def ss_from_json(doc: dict) -> StateSpaceModel:
 
 
 def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
-    # every cell "%.17g", which prints the integer rank (-1 if failed) as its digits
-    cells = [[r.alpha, r.kappa, r.lam, r.rank, r.train_loss, r.test_loss,
-              r.train_inconsistency, r.test_inconsistency, r.wall_time_s] for r in rows]
+    # SweepRow's leading fields are the columns; every cell "%.17g", which
+    # prints the integer rank (-1 if failed) as its digits
+    cells = [astuple(r)[: len(SWEEP_CSV_COLUMNS)] for r in rows]
     values = np.array(cells, dtype=float).reshape(-1, len(SWEEP_CSV_COLUMNS))
     _write_csv(path, list(SWEEP_CSV_COLUMNS), values)
 

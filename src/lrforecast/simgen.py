@@ -13,7 +13,7 @@ for a given seed within this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,16 +45,7 @@ class SimSpec:
             raise ValueError("noise scales must be nonnegative")
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "T_train": self.T_train,
-            "T_test": self.T_test,
-            "spectral_radius": self.spectral_radius,
-            "q_scale": self.q_scale,
-            "r_scale": self.r_scale,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "SimSpec":

@@ -108,6 +108,8 @@ class FitReport:
     objective_trace holds the start and one entry per sweep.  An l1 trace
     holds the objective of _smooth_l1's smoothing, which lies within
     Hn d / 2 below the l1 objective.
+
+    The CLI's report.json holds every field, wall_time as wall_time_s.
     """
 
     objective_trace: list[float]
@@ -435,8 +437,6 @@ def _gram_fit(
     if not np.isfinite(obj):
         raise NumericalError(f"objective is not finite at the initial point ({obj})")
     trace = [obj]
-    converged = False
-    sweeps = 0
     for sweeps in range(1, opts.max_outer + 1):
         B = solve(K, Cz)
         Ut = solve_u(B)
@@ -451,9 +451,7 @@ def _gram_fit(
         converged = worst <= tol
         if converged or rank == k < min(mcols, hcols) and _stalled(trace):
             break
-    if sweeps:
-        U = Q @ Ut
-    return U, B[:k], trace, 2 * sweeps, sweeps, B[k:]
+    return Q @ Ut, B[:k], trace, 2 * sweeps, sweeps, B[k:]
 
 
 def _fit_arrays(
@@ -538,7 +536,7 @@ def _fit_arrays(
         raise NumericalError(f"objective is not finite at the initial point ({obj})")
     lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": 1e-8, "ftol": 1e-16}
     trace = [obj]
-    total_iters = sweeps = 0
+    total_iters = 0
     for sweeps in range(1, opts.max_outer + 1):
         res = minimize(_factored_value_grad, x, args=args, jac=True, method="L-BFGS-B",
                        options=lbfgs_opts)

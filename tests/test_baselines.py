@@ -110,6 +110,18 @@ def test_full_forecaster_validation():
             FullForecaster(theta=np.zeros((M * n, H * n)), n=n, M=M, H=H)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("theta", np.full((6, 4), np.nan), "theta has a non-finite value"),
+    ("means", np.array([np.inf, 0.0]), "means has a non-finite value"),
+    ("means", np.zeros((2, 1)), r"means has shape \(2, 1\)"),
+    ("means", [[np.inf], [0.0]], r"means has shape \(2, 1\)"),
+])
+def test_full_forecaster_rejects_what_low_rank_rejects(field, value, match):
+    args = {"theta": np.zeros((6, 4)), "means": np.zeros(2), field: value}
+    with pytest.raises(ValueError, match=match):
+        FullForecaster(**args, n=2, M=3, H=2)
+
+
 def test_full_forecaster_applies_theta(rng):
     theta = rng.normal(size=(6, 4))
     f = FullForecaster(theta=theta, n=2, M=3, H=2)

@@ -10,13 +10,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from lrforecast.cli import main
 from lrforecast.core import build_windows, center
-from lrforecast.evaluation import evaluate
+from lrforecast.evaluation import EvalResult, evaluate
 from lrforecast.features import detrend_apply, retrend, time_features
 from lrforecast.objective import Loss
 from lrforecast.serialize import (
@@ -28,11 +29,18 @@ from lrforecast.serialize import (
     trend_from_json,
 )
 from lrforecast.simgen import SimSpec, gen_model, sample
-from lrforecast.solver import lambda_max
+from lrforecast.solver import FitReport, lambda_max
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# report.json's keys beside FitReport's fields (wall_time is written wall_time_s)
+REPORT_EXTRA_KEYS = {
+    "lambda", "alpha", "kappa", "loss",
+    "train_loss", "train_inconsistency", "per_horizon_train_loss", "n_windows",
+}
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +99,21 @@ def test_simulate_default_sizes(tmp_path):
     assert doc["spec"]["T_test"] == 500
 
 
+def test_simulate_every_flag_reaches_the_spec(tmp_path):
+    want = SimSpec(n=3, r=3, T_train=30, T_test=20, spectral_radius=0.9,
+                   q_scale=0.5, r_scale=0.2, seed=7)
+    assert all(getattr(want, f.name) != f.default for f in fields(SimSpec))
+    assert run(
+        "simulate", "--out-dir", tmp_path, "--n", 3, "--rank", 3, "--T-train", 30,
+        "--T-test", 20, "--spectral-radius", 0.9, "--q-scale", 0.5, "--r-scale", 0.2,
+        "--seed", 7,
+    ) == 0
+    assert SimSpec.from_json(load_json(str(tmp_path / "model.json"))["spec"]) == want
+    train, Z = sample(gen_model(want), 30, seed=7)
+    assert np.array_equal(read_series_csv(str(tmp_path / "train.csv")).values, train.values)
+    assert np.array_equal(read_series_csv(str(tmp_path / "states.csv")).values, Z)
+
+
 def test_simulate_matches_library_and_test_seed(sim):
     spec = SimSpec(n=3, r=2, seed=3)
     model = gen_model(spec)
@@ -124,6 +147,7 @@ def test_fit_report_matches_evaluate(sim, fitted, tmp_path):
         "--out", metrics,
     ) == 0
     doc = load_json(str(metrics))
+    assert set(doc) == {f.name for f in fields(EvalResult)}
     assert math.isclose(doc["loss"], report["train_loss"], rel_tol=1e-12)
     assert math.isclose(
         doc["inconsistency"], report["train_inconsistency"], rel_tol=1e-12
@@ -143,6 +167,20 @@ def test_fit_records_lambda_from_alpha(sim, fitted):
     assert report["rank"] == load_model_json(str(fitted["model"])).model.rank
     assert report["converged"] in (True, False)
     assert len(report["objective_trace"]) >= 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--periods", "12"]], ids=["plain", "features"])
+def test_fit_report_holds_every_report_field(small, tmp_path, flags):
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    assert run(
+        "fit", "--train", small / "train.csv", "--M", 3, "--H", 2, "--alpha", 0.3,
+        "--k", 3, "--seed", 0, *flags, "--model-out", model, "--report-out", report,
+    ) == 0
+    doc = load_json(str(report))
+    names = {f.name for f in fields(FitReport)} - {"wall_time"} | {"wall_time_s"}
+    assert set(doc) == names | REPORT_EXTRA_KEYS
+    assert doc["rank"] == load_model_json(str(model)).model.rank
+    assert doc["final_objective"] == doc["objective_trace"][-1]
 
 
 def test_fit_at_full_penalty_gives_rank_zero(small, tmp_path):
@@ -265,6 +303,18 @@ def test_fit_with_window_weights(small, tmp_path, capsys):
         "--model-out", tmp_path / "m.json", "--report-out", tmp_path / "r.json",
     ) == 2
     assert "--weight-col needs 2 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_rejects_non_finite_weight_col(small, tmp_path, capsys, bad):
+    model = tmp_path / "m.json"
+    assert run(
+        "fit", "--train", small / "train.csv", "--M", 3, "--H", 2,
+        "--alpha", 0.3, "--weight-h-t", 4, "--weight-h-tau", 20, "--weight-col", f"{bad},1",
+        "--model-out", model, "--report-out", tmp_path / "r.json",
+    ) == 2
+    assert "w_col must be finite and nonnegative" in capsys.readouterr().err
+    assert not model.exists()
 
 
 # ------------------------------------------------------------------- forecast
@@ -628,24 +678,33 @@ def test_one_config_serves_fit_and_sweep(small, tmp_path):
     assert [r["alpha"] for r in read_sweep_csv(str(tmp_path / "sweep.csv"))] == [0.5, 0.3]
 
 
-def test_config_seed_precedence(small, tmp_path):
+def test_config_seed_precedence(small, tmp_path, capsys):
     train = str(small / "train.csv")
 
-    def model_bytes(tag, doc, *flags):
+    def fit(tag, doc, *flags):
         cfg = tmp_path / f"{tag}.json"
         dump_json(str(cfg), {"train": train, "M": 3, "H": 2, "alpha": 0.1,
                              "solver": {"k": 3, "max_outer": 2}, **doc})
         model = tmp_path / f"{tag}-model.json"
-        assert run("fit", "--config", cfg, *flags, "--model-out", model,
-                   "--report-out", tmp_path / f"{tag}-report.json") == 0
+        code = run("fit", "--config", cfg, *flags, "--model-out", model,
+                   "--report-out", tmp_path / f"{tag}-report.json")
+        return code, model
+
+    def model_bytes(tag, doc, *flags):
+        code, model = fit(tag, doc, *flags)
+        assert code == 0
         return model.read_bytes()
 
     by_seed = {s: model_bytes(f"seed{s}", {}, "--seed", s) for s in (1, 2, 3)}
     assert len(set(by_seed.values())) == 3  # the seed shows in the model
-    both = {"seed": 1, "solver": {"k": 3, "max_outer": 2, "seed": 2}}
-    assert model_bytes("top", {"seed": 1}) == by_seed[1]
-    assert model_bytes("solver", both) == by_seed[2]
-    assert model_bytes("flag", both, "--seed", 3) == by_seed[3]
+    solver = {"solver": {"k": 3, "max_outer": 2, "seed": 2}}
+    assert model_bytes("solver", solver) == by_seed[2]
+    assert model_bytes("flag", solver, "--seed", 3) == by_seed[3]
+    # the seed has one config key, solver.seed; a top-level seed is unknown
+    code, model = fit("top", {"seed": 1, **solver})
+    assert code == 2
+    assert "unknown config options: seed" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_sweep_command(small, tmp_path):

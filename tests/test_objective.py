@@ -283,25 +283,23 @@ def test_build_weights_matches_oracle():
     N, M, H, n = 7, 3, 4, 2
     T = N + M + H - 1
     w_col = np.array([1.0, 2.5])
-    W = build_weights(5.0, 9.0, w_col, N, M, H, T)
+    W = build_weights(5.0, 9.0, w_col, N, H)
     assert np.allclose(W, weights_oracle(5.0, 9.0, w_col, N, M, H, T), rtol=1e-14)
 
 
 def test_weights_halve_per_half_life():
     # with an inert recency factor the horizon factor halves every h_t steps
-    N, M, H, n = 3, 2, 9, 1
-    T = N + M + H - 1
-    W = build_weights(4.0, 1e12, np.ones(1), N, M, H, T)
+    N, H = 3, 9
+    W = build_weights(4.0, 1e12, np.ones(1), N, H)
     assert np.allclose(W[:, 4] / W[:, 0], 0.5, rtol=1e-9)
     # and the most recent origin is favored when recency decays
-    W2 = build_weights(1e12, 3.0, np.ones(1), N, M, H, T)
+    W2 = build_weights(1e12, 3.0, np.ones(1), N, H)
     assert np.all(W2[-1] > W2[0])
 
 
 def test_build_weights_validation():
     with pytest.raises(ValueError):
-        build_weights(0.0, 1.0, np.ones(2), 3, 2, 2, 6)
-    with pytest.raises(ValueError):
-        build_weights(1.0, 1.0, np.ones(2), 3, 2, 2, 7)  # T mismatch
-    with pytest.raises(ValueError):
-        build_weights(1.0, 1.0, -np.ones(2), 3, 2, 2, 6)
+        build_weights(0.0, 1.0, np.ones(2), 3, 2)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="w_col must be finite and nonnegative"):
+            build_weights(1.0, 1.0, np.array([1.0, bad]), 3, 2)

@@ -591,6 +591,11 @@ def test_sweep_csv_header_is_pinned(tmp_path):
     assert header == ",".join(SWEEP_CSV_COLUMNS)
 
 
+def test_sweep_row_leads_with_the_csv_columns():
+    names = [f.name for f in dataclasses.fields(SweepRow)][: len(SWEEP_CSV_COLUMNS)]
+    assert ["lambda" if name == "lam" else name for name in names] == list(SWEEP_CSV_COLUMNS)
+
+
 def test_sweep_csv_rejects_foreign_header(tmp_path):
     path = str(tmp_path / "bad.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -662,7 +662,7 @@ def test_gram_path_rank_one_weights_match_reference(monkeypatch, rng):
     calls = count_lbfgs(monkeypatch)
     N, n, M, H = 30, 2, 4, 3
     data = rand_instance(rng, N=N, n=n, M=M, H=H)
-    W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), N, M, H, N + M + H - 1)
+    W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), N, H)
     for frac in (0.1, 0.5):
         lam = frac * lambda_max(data.P, data.F, W=W)
         model, report = fit_factored(data, lam, W=W, opts=FitOptions(k=6, **GRAM_OPTS))
@@ -712,6 +712,16 @@ def test_gram_path_ridge_block_matches_reference(monkeypatch, rng):
     assert not calls
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_fit_rejects_weights_not_finite_and_nonnegative(rng, bad, kappa):
+    data = rand_instance(rng)
+    W = np.ones(data.F.shape)
+    W[0, 0] = bad
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        fit_factored(data, 0.1, kappa, W=W, opts=FitOptions(k=2))
+
+
 def test_weights_not_rank_one_take_lbfgs(monkeypatch, rng):
     calls = count_lbfgs(monkeypatch)
     data = rand_instance(rng, N=30)
@@ -742,7 +752,7 @@ def test_gram_path_agrees_with_reference_property(seed, n, M, H, frac, weighted)
     W = None
     if weighted:
         W = build_weights(float(rng.uniform(1.0, 10.0)), float(rng.uniform(5.0, 50.0)),
-                          rng.uniform(0.5, 1.5, size=n), N, M, H, N + M + H - 1)
+                          rng.uniform(0.5, 1.5, size=n), N, H)
     lam = frac * lambda_max(data.P, data.F, W=W)
     model, report = fit_auto_rank(data, lam, W=W, opts=FitOptions(**GRAM_OPTS))
     assert report.converged
@@ -835,7 +845,7 @@ def _fit_on_path(path, data, rng):
     if path == "gram_width_bound":
         return lam, fit_factored(data, lam, opts=FitOptions(k=1, max_outer=1000))[1]
     if path == "rank_one_w":
-        W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), data.N, 4, 3, data.N + 6)
+        W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), data.N, 3)
         lam = 0.1 * lambda_max(data.P, data.F, W=W)
         return lam, fit_factored(data, lam, W=W, opts=opts)[1]
     if path == "w_not_rank_one":
