@@ -360,7 +360,8 @@ def cmd_latent(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="initial factor width")
+    p.add_argument("--k", type=int, help="initial factor width, at least 1; in sweep, "
+                   "of each kappa column's first fit (later rows start at 2 x the last rank)")
     p.add_argument("--max-outer", dest="max_outer", type=int,
                    help="max solver sweeps (closed-form V/U passes or L-BFGS restarts)")
     p.add_argument("--seed", type=int, help="factor initialization seed")

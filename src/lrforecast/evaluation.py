@@ -124,7 +124,15 @@ def _sweep_chain(
     opts: FitOptions,
     means: np.ndarray,
 ) -> list[SweepRow]:
-    """Fits one kappa column across the alpha grid with warm starts."""
+    """Fits one kappa column across the alpha grid with warm starts.
+
+    The first fit starts cold at opts.k.  Each later fit starts from the
+    previous row's factors at width 2 * rank, the step fit_auto_rank widens
+    by, so the next lam has room to raise the rank without a width
+    escalation; a rank-0 row is a width-0 warm start, and the fit after it
+    starts cold at opts.k again.  Both widths are capped as in fit_auto_rank.
+    """
+    first_k = opts.k
     rows = []
     for alpha in alphas:
         lam = alpha * lmax
@@ -145,7 +153,7 @@ def _sweep_chain(
                      tr.inconsistency, te.inconsistency, report.wall_time,
                      converged=report.converged)
         )
-        opts = replace(opts, init=(model.U, model.V))
+        opts = replace(opts, k=2 * model.rank or first_k, init=(model.U, model.V))
     return rows
 
 
@@ -165,7 +173,9 @@ def sweep(
 
     The nuclear-norm weight for each row is alpha * lambda_max computed on
     the training windows.  Within each kappa column, fits are warm-started
-    from the previous alpha's factors (processed in grid order); columns
+    from the previous alpha's factors (processed in grid order) at twice
+    the previous rank, so opts.k sets only the width of each column's first
+    fit and of a fit after a rank-0 row (see _sweep_chain); columns
     are independent, so jobs > 1 runs them in parallel without changing
     any output.  A failed fit marks its row rather than aborting; a row's
     converged copies its fit's FitReport.converged, so a certified fit can

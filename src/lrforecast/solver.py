@@ -63,7 +63,10 @@ class NumericalError(RuntimeError):
 class FitOptions:
     """Knobs for the factored solver.
 
-    k: factor width (inner dimension); must not exceed min(Mn, Hn).
+    k: factor width (inner dimension), at least 1; fit_factored rejects a k
+        above min(Mn, Hn), fit_auto_rank caps it there.  A sweep column
+        starts its first fit at k and each warm fit at twice the previous
+        row's rank (see evaluation._sweep_chain).
     max_outer: maximum number of sweeps, at least 1.  A Gram-path sweep
         solves V then U; an L-BFGS sweep is one joint solve over
         [U; V; Phi], restarted from the last iterate.  The stopping rules
@@ -86,6 +89,8 @@ class FitOptions:
     init: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be at least 1")
         if self.max_outer < 1:
             raise ValueError(f"max_outer={self.max_outer} must be at least 1")
 

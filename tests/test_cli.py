@@ -641,25 +641,38 @@ def test_obj_tol_is_rejected(small, tmp_path, capsys):
     assert not model_out.exists() and not sweep_out.exists()
 
 
-@pytest.mark.parametrize("max_outer", [0, -1])
-def test_max_outer_below_one_is_rejected(small, tmp_path, capsys, max_outer):
-    # a fit of no sweeps would return its random initial factors as a model
+def assert_solver_option_rejected(small, tmp_path, capsys, key, value):
+    """fit and sweep exit 2 naming key=value, by flag and by config, and write nothing."""
     train, test = str(small / "train.csv"), str(small / "test.csv")
     model_out, sweep_out = tmp_path / "m.json", tmp_path / "s.csv"
-    message = f"max_outer={max_outer} must be at least 1"
+    message = f"{key}={value} must be at least 1"
     fit = ("fit", "--train", train, "--M", 3, "--H", 2, "--alpha", 0.4,
            "--model-out", model_out)
     sweep = ("sweep", "--train", train, "--test", test, "--M", 3, "--H", 2,
              "--alphas", 0.4, "--out", sweep_out)
+    flag = "--" + key.replace("_", "-")
     for argv in (fit, sweep):
-        assert run(*argv, "--max-outer", max_outer) == 2
+        assert run(*argv, flag, value) == 2
         assert message in capsys.readouterr().err
     cfg = tmp_path / "c.json"
-    dump_json(str(cfg), {"solver": {"max_outer": max_outer}})
+    dump_json(str(cfg), {"solver": {key: value}})
     for argv in (fit, sweep):
         assert run(*argv, "--config", cfg) == 2
         assert message in capsys.readouterr().err
     assert not model_out.exists() and not sweep_out.exists()
+
+
+@pytest.mark.parametrize("max_outer", [0, -1])
+def test_max_outer_below_one_is_rejected(small, tmp_path, capsys, max_outer):
+    # a fit of no sweeps would return its random initial factors as a model
+    assert_solver_option_rejected(small, tmp_path, capsys, "max_outer", max_outer)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_rejected(small, tmp_path, capsys, k):
+    # a sweep used to fit every row at k and fail each, then exit 2 with
+    # "sweep produced no successful rows" after writing an all-failed CSV
+    assert_solver_option_rejected(small, tmp_path, capsys, "k", k)
 
 
 def test_one_config_serves_fit_and_sweep(small, tmp_path):

@@ -29,6 +29,7 @@ from lrforecast import (
     sweep,
     walk_forward_cv,
 )
+from lrforecast.solver import CERT_TOL
 
 
 def small_series(rng, T=60, n=2):
@@ -168,15 +169,79 @@ def test_sweep_marks_failed_rows(rng, monkeypatch):
     assert np.isnan(bad.test_loss) and np.isnan(bad.train_loss)
 
 
-def test_sweep_rows_tell_certified_from_out_of_sweeps():
-    # the 20-alpha chain on the seed-0 paper series: one of its warm-started
-    # fits ends at max_outer without meeting the KKT certificate
+def paper_split():
+    """The seed-0 paper series: 100 training steps, 100 test steps."""
     spec = SimSpec(n=10, r=2, T_train=100, seed=0)
     train, _ = sample(gen_model(spec), spec.T_train, seed=0)
     test, _ = sample(gen_model(spec), 100, seed=1)
+    return train, test
+
+
+def test_sweep_rows_tell_certified_from_out_of_sweeps():
+    # the 20-alpha chain on the seed-0 paper series: one of its warm-started
+    # fits ends at max_outer without meeting the KKT certificate
+    train, test = paper_split()
     table = sweep(train, test, np.linspace(0.3, 0.01, 20), [0.0], 12, 12)
     assert sum(r.converged for r in table.rows) == 19
     assert not any(r.failed for r in table.rows)
+
+
+def spy_fits(monkeypatch):
+    """Records (data, lam, kappa, opts, model, report) of every sweep fit."""
+    fits = []
+
+    def spy(data, lam, kappa=0.0, loss=Loss(), opts=None, means=None):
+        model, report = fit_auto_rank(data, lam, kappa, loss, opts=opts, means=means)
+        fits.append((data, lam, kappa, opts, model, report))
+        return model, report
+
+    monkeypatch.setattr(evaluation, "fit_auto_rank", spy)
+    return fits
+
+
+def test_sweep_chain_width_rule(monkeypatch):
+    # a column's first fit and the fit after a rank-0 row start cold at k;
+    # every other fit starts from the previous row's factors at twice its rank
+    fits = spy_fits(monkeypatch)
+    train, test = paper_split()
+    opts = FitOptions(k=20)
+    table = sweep(train, test, [1.5, 0.3, 0.1, 0.03], [0.0], 12, 12, opts=opts)
+    assert len(fits) == 4 and table.rows[0].rank == 0
+    assert all(r.rank > 0 for r in table.rows[1:])
+    cap = min(fits[0][0].P.shape[1], fits[0][0].F.shape[1])
+    prev_rank = 0
+    for data, lam, _, fit_opts, model, report in fits:
+        cold, _ = fit_auto_rank(data, lam, opts=opts)
+        if prev_rank == 0:
+            assert report.k_schedule[0] == min(opts.k, cap)
+            assert np.array_equal(model.theta(), cold.theta())
+        else:
+            assert report.k_schedule[0] == min(2 * prev_rank, cap)
+            assert fit_opts.init[0].shape[1] == prev_rank
+        assert model.rank == cold.rank
+        prev_rank = model.rank
+
+
+def test_sweep_kappa_chain_certified_at_cold_start_ranks(monkeypatch):
+    # a kappa > 0 column takes the same warm starts through the L-BFGS engine:
+    # a row that reports converged meets the certificate, and every row has
+    # the rank a cold fit_auto_rank finds at the same lam
+    fits = spy_fits(monkeypatch)
+    spec = SimSpec(n=3, r=1, T_train=60, seed=0)
+    truth = gen_model(spec)
+    train, _ = sample(truth, spec.T_train, seed=0)
+    test, _ = sample(truth, 40, seed=1)
+    table = sweep(train, test, [0.5, 0.2, 0.1, 0.05, 0.02], [0.5], M=4, H=4)
+    assert len(fits) == 5 and not any(r.failed for r in table.rows)
+    for (data, lam, kappa, _, model, report), r in zip(fits, table.rows):
+        assert r.rank == model.rank and r.converged == report.converged
+        if report.converged:
+            assert max(report.optimality_residuals) <= CERT_TOL * lam
+        cold, _ = fit_auto_rank(data, lam, kappa)
+        assert model.rank == cold.rank
+    # the checks above are not vacuous: the rank moves and most rows certify
+    assert len({r.rank for r in table.rows}) > 2
+    assert sum(r.converged for r in table.rows) >= 4
 
 
 def test_sweep_validation(rng):

@@ -273,6 +273,12 @@ def test_fit_validation(rng):
             FitOptions(k=2, max_outer=bad)
     with pytest.raises(ValueError, match="max_outer"):
         replace(FitOptions(), max_outer=0)
+    # a factor of no columns has nothing to fit, whichever path builds the options
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^k={bad} must be at least 1"):
+            FitOptions(k=bad)
+    with pytest.raises(ValueError, match="^k=0"):
+        replace(FitOptions(), k=0)
 
 
 def initial_factors(monkeypatch, data, opts):
