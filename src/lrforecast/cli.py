@@ -61,8 +61,8 @@ CONFIG_KEYS = {
     "weights": {"h_t": "weight_h_t", "h_tau": "weight_h_tau", "w_col": "weight_col"},
     "lambda": "lam",
     **{k: k for k in (
-        "train", "test", "M", "H", "alpha", "kappa", "alphas", "kappas", "jobs",
-        "out", "model_out", "report_out", "trend", "warm_start",
+        "train", "test", "M", "H", "alpha", "kappa", "alphas", "kappas", "out",
+        "model_out", "report_out", "trend", "warm_start",
     )},
 }
 
@@ -123,9 +123,9 @@ def _comma_floats(s: str) -> list[float]:
 
 def _loss_from(args) -> Loss:
     kind = SQUARED_L2 if args.loss is None else args.loss
-    if kind != HUBER:
-        return Loss(kind=kind)
-    return Loss(kind=HUBER, delta=1.0 if args.delta is None else args.delta)
+    # huber defaults its threshold to 1; a delta given with another kind is refused by Loss
+    delta = 1.0 if kind == HUBER and args.delta is None else args.delta
+    return Loss(kind=kind, delta=delta)
 
 
 def _opts_from(args) -> FitOptions:
@@ -137,10 +137,7 @@ def _opts_from(args) -> FitOptions:
 def _features_from(args) -> FeatureSpec | None:
     if not args.periods and not args.weekday:
         return None
-    return FeatureSpec(
-        periods=tuple(args.periods or ()), weekday=bool(args.weekday),
-        products=bool(args.products),
-    )
+    return FeatureSpec(args.periods or (), bool(args.weekday), bool(args.products))
 
 
 def _weights_from(args, N, H, n):
@@ -295,13 +292,10 @@ def cmd_sweep(args) -> int:
     kappas = [0.0] if args.kappas is None else args.kappas
     loss = _loss_from(args)
     opts = _opts_from(args)
-    jobs = 1 if args.jobs is None else args.jobs
     out = args.out or "sweep.csv"
     train = read_series_csv(args.train)
     test = read_series_csv(args.test)
-    table = sweep(
-        train, test, args.alphas, kappas, args.M, args.H, loss, opts, jobs=jobs
-    )
+    table = sweep(train, test, args.alphas, kappas, args.M, args.H, loss, opts)
     write_sweep_csv(out, table.rows)
     best = table.best()
     print(
@@ -370,7 +364,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_loss_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=[SQUARED_L2, L1, HUBER], help="penalty kind")
-    p.add_argument("--delta", type=float, help="huber threshold")
+    p.add_argument("--delta", type=float, help="huber threshold (default 1); only with --loss huber")
 
 
 def _add_feature_flags(p: argparse.ArgumentParser) -> None:
@@ -442,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=int)
     p.add_argument("--alphas", type=_comma_floats)
     p.add_argument("--kappas", type=_comma_floats)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out")
     _add_loss_flags(p)
     _add_solver_flags(p)

@@ -9,10 +9,16 @@ of block-Hankel matrices P (N x Mn) and F (N x Hn) with block width n.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _is_number(x, integer: bool = False) -> bool:
+    """True for a Python or numpy real number, or integer if asked; a bool is neither."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral if integer else numbers.Real)
 
 
 @dataclass

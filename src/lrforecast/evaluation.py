@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -172,20 +171,25 @@ def sweep(
     """Fits a grid of (alpha, kappa) penalties and scores train and test.
 
     The nuclear-norm weight for each row is alpha * lambda_max computed on
-    the training windows.  Within each kappa column, fits are warm-started
-    from the previous alpha's factors (processed in grid order) at twice
-    the previous rank, so opts.k sets only the width of each column's first
-    fit and of a fit after a rank-0 row (see _sweep_chain); columns
-    are independent, so jobs > 1 runs them in parallel without changing
-    any output.  A failed fit marks its row rather than aborting; a row's
-    converged copies its fit's FitReport.converged, so a certified fit can
-    be told from one that ran out of sweeps.  Rows come back in
-    alpha-major grid order.
+    the training windows.  The kappa columns run one after another, each a
+    warm-started path down the alpha grid (see _sweep_chain): every fit
+    after the first starts from the previous alpha's factors at twice the
+    previous rank, so opts.k sets only the width of each column's first
+    fit and of a fit after a rank-0 row.  A failed fit marks its row rather
+    than aborting; a row's converged copies its fit's FitReport.converged,
+    so a certified fit can be told from one that ran out of sweeps.  Rows
+    come back in alpha-major grid order.
 
     Both series are centered with the training means by default; pass
     explicit means (e.g. zeros, when the process mean is known) to
     override.  The fitted models carry whichever means were used.
+
+    jobs accepts only 1 and raises ValueError otherwise.  It is left only
+    because the benchmark calls sweep(..., jobs=1); the benchmark change
+    that drops that argument deletes it.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs!r}: sweep runs its kappa columns serially, only jobs=1")
     opts = opts or FitOptions()
     alphas = [float(a) for a in alphas]
     kappas = [float(k) for k in kappas]
@@ -199,20 +203,9 @@ def sweep(
     data_train = build_windows(centered_train, M, H)
     data_test = build_windows(centered_test, M, H)
     lmax = lambda_max(data_train.P, data_train.F, loss)
-
-    def run_column(kappa):
-        return _sweep_chain(alphas, kappa, data_train, data_test, lmax, loss, opts, means)
-
-    if jobs > 1 and len(kappas) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(kappas))) as pool:
-            columns = list(pool.map(run_column, kappas))
-    else:
-        columns = [run_column(k) for k in kappas]
-    table = SweepTable()
-    for ai in range(len(alphas)):
-        for ki in range(len(kappas)):
-            table.rows.append(columns[ki][ai])
-    return table
+    columns = [_sweep_chain(alphas, kappa, data_train, data_test, lmax, loss, opts, means)
+               for kappa in kappas]
+    return SweepTable([row for rows in zip(*columns) for row in rows])
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .baselines import _ridge_solve
-from .core import TimeSeries, WindowedDataset, center
+from .core import TimeSeries, WindowedDataset, _is_number, center
 from .objective import Loss
 from .solver import FitOptions, FitReport, LowRankForecaster, _fit_design
 
@@ -36,11 +36,12 @@ DAYS_PER_WEEK = 7
 class FeatureSpec:
     """Deterministic time features evaluated on an integer time index.
 
-    periods: one sin/cos column pair per finite, positive period (in steps);
-    weekday: append a binary flag that reads time steps as hours, 1 when
+    periods: a list or tuple of numbers, one sin/cos column pair per
+        finite, positive period (in steps), stored as a tuple of floats;
+    weekday (a bool): append a binary flag that reads time steps as hours, 1 when
         (t // HOURS_PER_DAY) mod DAYS_PER_WEEK falls on the first five
         days of a 7-day week;
-    products: append all ordered pairwise products of the base columns
+    products (a bool): append all ordered pairwise products of the base columns
         (including squares), giving base + base^2 columns in total.
     """
 
@@ -49,6 +50,11 @@ class FeatureSpec:
     products: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.periods, (list, tuple)) or not all(map(_is_number, self.periods)):
+            raise ValueError(f"feature periods must be a list of numbers, got {self.periods!r}")
+        for name in ("weekday", "products"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"feature {name} must be a bool, got {getattr(self, name)!r}")
         object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
         if not all(0 < p < np.inf for p in self.periods):
             raise ValueError(f"periods must be finite and positive, got {self.periods}")
@@ -73,11 +79,8 @@ class FeatureSpec:
         for key, fixed in (("hours_per_day", HOURS_PER_DAY), ("days_per_week", DAYS_PER_WEEK)):
             if obj.get(key, fixed) != fixed:
                 raise ValueError(f"feature key {key} must be {fixed}, got {obj[key]!r}")
-        return FeatureSpec(
-            periods=tuple(obj.get("periods", ())),
-            weekday=bool(obj.get("weekday", False)),
-            products=bool(obj.get("products", False)),
-        )
+        return FeatureSpec(obj.get("periods", ()), obj.get("weekday", False),
+                           obj.get("products", False))
 
 
 def time_features(t_index: np.ndarray, spec: FeatureSpec) -> np.ndarray:
@@ -100,7 +103,7 @@ def time_features(t_index: np.ndarray, spec: FeatureSpec) -> np.ndarray:
 
 @dataclass
 class TrendModel:
-    """A per-time linear baseline x_t ~ S a_t for feature rows a_t; S finite, lam >= 0."""
+    """A per-time linear baseline x_t ~ S a_t for feature rows a_t; S finite, real lam >= 0."""
 
     S: np.ndarray
     lam: float = 0.0
@@ -110,6 +113,8 @@ class TrendModel:
         self.S = np.asarray(self.S, dtype=float)
         if self.S.ndim != 2:
             raise ValueError("trend S must be a matrix")
+        if not _is_number(self.lam):
+            raise ValueError(f"trend field lam must be a real number, got {self.lam!r}")
         for name, value in (("S", self.S), ("lam", self.lam)):
             if not np.isfinite(value).all():
                 raise ValueError(f"trend field {name} has a non-finite value")

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_number
+
 SQUARED_L2 = "squared_l2"
 L1 = "l1"
 HUBER = "huber"
@@ -40,8 +42,8 @@ class Loss:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind == HUBER:
-            if self.delta is None or not (self.delta > 0):
-                raise ValueError("huber loss requires delta > 0")
+            if not (_is_number(self.delta) and self.delta > 0):
+                raise ValueError(f"huber loss requires a real delta > 0, got {self.delta!r}")
         elif self.delta is not None:
             raise ValueError(f"delta is only meaningful for huber loss, got kind={self.kind!r}")
 

@@ -33,7 +33,7 @@ from typing import NoReturn
 import numpy as np
 
 from .baselines import StateSpaceModel
-from .core import TimeSeries
+from .core import TimeSeries, _is_number
 from .evaluation import SWEEP_CSV_COLUMNS, SweepRow
 from .features import FeatureSpec, ModelBundle, TrendModel
 from .objective import Loss
@@ -218,28 +218,19 @@ def model_to_json(
 
 
 def model_from_json(doc: dict) -> ModelBundle:
-    required = (
-        "n", "M", "H", "rank", "lambda", "kappa", "loss", "means",
-        "U", "V", "singular_values",
-    )
+    required = ("n", "M", "H", "rank", "lambda", "kappa", "loss", "means", "U", "V",
+                "singular_values")
     missing = [k for k in required if k not in doc]
     if missing:
         raise ValueError(f"model document missing fields: {', '.join(missing)}")
-    n, M, H, rank = (int(doc[k]) for k in ("n", "M", "H", "rank"))
-    if rank < 0:
-        raise ValueError(f"model document has out-of-range rank {rank}")
-    if rank == 0:  # json writes a rank-0 V as []; the model checks n, M and H
-        U, V = np.zeros((max(M * n, 0), 0)), np.zeros((0, max(H * n, 0)))
-    else:
-        U = np.array(doc["U"], dtype=float)
-        V = np.array(doc["V"], dtype=float)
-        if U.ndim != 2 or U.shape[1] != rank:
-            raise ValueError(f"factor shapes: U is {U.shape}, the document's rank is {rank}")
     model = LowRankForecaster(
-        U=U, V=V, singular_values=doc["singular_values"], n=n, M=M, H=H,
-        lam=float(doc["lambda"]), kappa=float(doc["kappa"]),
+        U=doc["U"], V=doc["V"], singular_values=doc["singular_values"], n=doc["n"],
+        M=doc["M"], H=doc["H"], lam=doc["lambda"], kappa=doc["kappa"],
         loss=Loss.from_json(doc["loss"]), means=doc["means"],
     )
+    if not _is_number(doc["rank"], integer=True) or doc["rank"] != model.rank:
+        raise ValueError(f"model document has out-of-range rank {doc['rank']!r}: "
+                         f"it must be U's width, the integer {model.rank}")
     trend = trend_from_json(doc["trend"]) if doc.get("trend") else None
     aux = doc.get("aux") or {}
     feats = FeatureSpec.from_json(aux["features"]) if aux.get("features") else None
@@ -267,7 +258,7 @@ def trend_to_json(trend: TrendModel) -> dict:
 
 def trend_from_json(doc: dict) -> TrendModel:
     feats = FeatureSpec.from_json(doc["features"]) if doc.get("features") else None
-    return TrendModel(S=doc["S"], lam=float(doc.get("lam", 0.0)), features=feats)
+    return TrendModel(S=doc["S"], lam=doc.get("lam", 0.0), features=feats)
 
 
 def ss_to_json(model: StateSpaceModel, spec: SimSpec | None = None) -> dict:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import WindowedDataset
+from .core import WindowedDataset, _is_number
 from .objective import (
     L1, SQUARED_L2, Loss, _check_weights, hankel_project, huber, inconsistency, loss_grad,
     loss_value,
@@ -141,8 +141,10 @@ class LowRankForecaster:
     were removed before fitting.
 
     Every model, fitted, loaded or built by hand, is checked on
-    construction: n, M, H >= 1, lam and kappa >= 0, the shapes above
-    (r singular values, n means) and that every number is finite.
+    construction: integer n, M, H >= 1, real lam and kappa >= 0, the
+    shapes above (r singular values, n means) and that every number is
+    finite.  An empty V is read as the rank-0 V of shape (0, Hn), which
+    JSON writes as [].
     """
 
     U: np.ndarray
@@ -157,6 +159,11 @@ class LowRankForecaster:
     means: np.ndarray
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("M", self.M), ("H", self.H),
+                            ("lambda", self.lam), ("kappa", self.kappa)):
+            if not _is_number(value, integer=name in ("n", "M", "H")):
+                kind = "a real number" if name in ("lambda", "kappa") else "an integer"
+                raise ValueError(f"model field {name} must be {kind}, got {value!r}")
         self.U, self.V, self.singular_values, self.means = (
             np.asarray(a, dtype=float) for a in (self.U, self.V, self.singular_values, self.means)
         )
@@ -164,6 +171,8 @@ class LowRankForecaster:
         if min(n, self.M, self.H) < 1 or self.lam < 0 or self.kappa < 0:
             raise ValueError(f"model has out-of-range scalars: n={n}, M={self.M}, "
                              f"H={self.H}, lambda={self.lam}, kappa={self.kappa}")
+        if self.V.size == 0:
+            self.V = self.V.reshape(0, hn)
         if self.U.ndim != 2 or self.U.shape[0] != mn or self.V.shape != (self.U.shape[1], hn):
             raise ValueError(f"factor shapes {self.U.shape} x {self.V.shape} do not match "
                              f"(Mn={mn}, Hn={hn})")

@@ -641,6 +641,25 @@ def test_obj_tol_is_rejected(small, tmp_path, capsys):
     assert not model_out.exists() and not sweep_out.exists()
 
 
+def test_jobs_is_rejected(small, tmp_path, capsys):
+    # a sweep runs its kappa columns one after another; neither the flag nor the key exists
+    train, test = str(small / "train.csv"), str(small / "test.csv")
+    model_out, sweep_out = tmp_path / "m.json", tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--train", train, "--test", test, "--M", 3, "--H", 2,
+            "--alphas", 0.4, "--jobs", 2, "--out", sweep_out)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    dump_json(str(cfg), {"train": train, "test": test, "M": 3, "H": 2, "alpha": 0.4,
+                         "alphas": [0.4], "jobs": 1})
+    assert run("sweep", "--config", cfg, "--out", sweep_out) == 2
+    assert "unknown config options: jobs" in capsys.readouterr().err
+    assert run("fit", "--config", cfg, "--model-out", model_out) == 2
+    assert "unknown config options: jobs" in capsys.readouterr().err
+    assert not model_out.exists() and not sweep_out.exists()
+
+
 def assert_solver_option_rejected(small, tmp_path, capsys, key, value):
     """fit and sweep exit 2 naming key=value, by flag and by config, and write nothing."""
     train, test = str(small / "train.csv"), str(small / "test.csv")
@@ -680,7 +699,7 @@ def test_one_config_serves_fit_and_sweep(small, tmp_path):
     dump_json(str(cfg), {
         "train": str(small / "train.csv"), "test": str(small / "test.csv"),
         "M": 3, "H": 2, "alpha": 0.3, "alphas": [0.5, 0.3], "kappas": [0.0],
-        "jobs": 1, "out": str(tmp_path / "sweep.csv"),
+        "out": str(tmp_path / "sweep.csv"),
         "model_out": str(tmp_path / "m.json"), "report_out": str(tmp_path / "r.json"),
         "features": {"periods": [12]}, "weights": {"h_t": 4.0, "h_tau": 20.0},
         "solver": {"k": 2, "seed": 0},
@@ -725,7 +744,7 @@ def test_sweep_command(small, tmp_path):
     assert run(
         "sweep", "--train", small / "train.csv", "--test", small / "test.csv",
         "--M", 3, "--H", 2, "--alphas", "0.5,0.2", "--kappas", "0,0.5",
-        "--k", 3, "--seed", 0, "--jobs", 2, "--out", out,
+        "--k", 3, "--seed", 0, "--out", out,
     ) == 0
     rows = read_sweep_csv(str(out))
     assert [(r["alpha"], r["kappa"]) for r in rows] == [
@@ -823,6 +842,80 @@ def test_model_with_non_finite_numbers_exits_two(sim, fitted, tmp_path, capsys):
                    "--out", out, *extra) == 2
         assert "model field U has a non-finite value" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("M", 3.9, "model field M must be an integer"),
+    ("kappa", "0", "model field kappa must be a real number"),
+    ("rank", "as float", "out-of-range rank"),
+    ("lambda", None, "model field lambda must be a real number"),
+    ("n", None, "model field n must be an integer"),
+    ("loss", {"kind": "huber", "delta": "0.3"}, "requires a real delta"),
+], ids=["M", "kappa", "rank", "lambda", "n", "delta"])
+def test_model_with_wrongly_typed_scalars_exits_two(sim, fitted, tmp_path, capsys,
+                                                     field, value, message):
+    # M 3.9 used to load as 3, kappa "0" and rank 1.0 were accepted, and a null
+    # lambda or n or a string delta ended in a TypeError traceback (exit 1)
+    doc = load_json(str(fitted["model"]))
+    doc[field] = float(doc["rank"]) if field == "rank" else value
+    bad, out = tmp_path / "bad.json", tmp_path / "metrics.json"
+    dump_json(str(bad), doc)
+    assert run("evaluate", "--model", bad, "--input", sim / "test.csv", "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("features", [{"periods": "24"}, {"periods": 5},
+                                      {"weekday": "false"}],
+                         ids=["periods-string", "periods-number", "weekday"])
+def test_model_with_wrongly_typed_features_exits_two(small, tmp_path, capsys, features):
+    # periods "24" used to load as (2.0, 4.0) and weekday "false" as True
+    model = tmp_path / "m.json"
+    assert run("fit", "--train", small / "train.csv", "--M", 3, "--H", 2, "--alpha", 0.3,
+               "--periods", 12, "--weekday", "--model-out", model,
+               "--report-out", tmp_path / "r.json") == 0
+    doc = load_json(str(model))
+    doc["aux"]["features"].update(features)
+    dump_json(str(model), doc)
+    out = tmp_path / "metrics.json"
+    assert run("evaluate", "--model", model, "--input", small / "test.csv", "--out", out) == 2
+    (key,) = features
+    assert f"feature {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trend_with_string_lam_exits_two(sim, tmp_path, capsys):
+    # "lam": "0.5" used to load as 0.5
+    resid, trend = tmp_path / "resid.csv", tmp_path / "trend.json"
+    assert run("detrend", "--input", sim / "train.csv", "--periods", "24,7",
+               "--out", resid, "--trend-out", trend) == 0
+    doc = load_json(str(trend))
+    doc["lam"] = "0.5"
+    dump_json(str(trend), doc)
+    model = tmp_path / "m.json"
+    assert run("fit", "--train", resid, "--M", 4, "--H", 3, "--alpha", 0.3, "--trend", trend,
+               "--model-out", model, "--report-out", tmp_path / "r.json") == 2
+    assert "trend field lam must be a real number, got '0.5'" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_delta_without_huber_exits_two(small, tmp_path, capsys):
+    # the threshold used to be dropped, so the fit ran squared l2 and exited 0
+    train, test = str(small / "train.csv"), str(small / "test.csv")
+    model_out, sweep_out = tmp_path / "m.json", tmp_path / "s.csv"
+    fit = ("fit", "--train", train, "--M", 3, "--H", 2, "--alpha", 0.3,
+           "--model-out", model_out, "--report-out", tmp_path / "r.json")
+    sweep = ("sweep", "--train", train, "--test", test, "--M", 3, "--H", 2,
+             "--alphas", 0.3, "--out", sweep_out)
+    cfg = tmp_path / "c.json"
+    dump_json(str(cfg), {"loss": {"delta": 0.3}})
+    for argv in (fit + ("--delta", 0.3), fit + ("--loss", "l1", "--delta", 0.3),
+                 sweep + ("--delta", 0.3), fit + ("--config", cfg)):
+        assert run(*argv) == 2
+        assert "delta is only meaningful for huber loss" in capsys.readouterr().err
+    assert not model_out.exists() and not sweep_out.exists()
+    assert run(*fit, "--loss", "huber") == 0  # huber's threshold defaults to 1
+    assert load_model_json(str(model_out)).model.loss == Loss("huber", delta=1.0)
 
 
 def test_numerical_failures_exit_three(sim, tmp_path, capsys):

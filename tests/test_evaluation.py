@@ -136,18 +136,20 @@ def test_sweep_grid_order_and_lambda(rng):
 
 
 def test_sweep_jobs_do_not_change_results(rng):
+    # the kappa columns run one after another; jobs is left only for callers
+    # that pass jobs=1, so any other value is refused
     x = small_series(rng, T=50)
     train, test = x[:35], x[35:]
     kw = dict(alphas=[0.3, 0.1], kappas=[0.0, 0.5, 1.0], M=3, H=2,
               opts=FitOptions(k=3))
-    serial = sweep(train, test, **kw)
-    threaded = sweep(train, test, jobs=3, **kw)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert (a.alpha, a.kappa, a.lam, a.rank) == (b.alpha, b.kappa, b.lam, b.rank)
-        assert a.train_loss == b.train_loss
-        assert a.test_loss == b.test_loss
-        assert a.train_inconsistency == b.train_inconsistency
-        assert a.test_inconsistency == b.test_inconsistency
+    for jobs in (3, 2, 0):
+        with pytest.raises(ValueError, match=f"jobs={jobs}: sweep runs its kappa columns"):
+            sweep(train, test, jobs=jobs, **kw)
+    default = sweep(train, test, **kw)
+    one = sweep(train, test, jobs=1, **kw)
+    assert len(default.rows) == len(one.rows) == 6
+    for a, b in zip(default.rows, one.rows):  # every field but the wall time
+        assert replace(a, wall_time_s=0.0) == replace(b, wall_time_s=0.0)
 
 
 def test_sweep_marks_failed_rows(rng, monkeypatch):

@@ -6,6 +6,8 @@ hand-built linear baselines for de-trending, and constructed instances
 with orthogonal feature columns for the joint fit.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,22 @@ def test_feature_spec_validation_and_json():
     spec = hourly_weekly_spec()
     again = FeatureSpec.from_json(spec.to_json())
     assert again == spec
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"periods": "24"}, "feature periods must be a list of numbers, got '24'"),
+    ({"periods": 5}, "feature periods must be a list of numbers, got 5"),
+    ({"periods": ["24"]}, "feature periods must be a list of numbers, got ['24']"),
+    ({"periods": [24.0], "weekday": "false"}, "feature weekday must be a bool, got 'false'"),
+    ({"periods": [24.0], "products": 1}, "feature products must be a bool, got 1"),
+], ids=["string", "number", "string-entry", "weekday", "products"])
+def test_feature_spec_is_read_as_written(doc, message):
+    # "24" used to become the periods (2.0, 4.0), "false" a True flag, and 5
+    # raised TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FeatureSpec.from_json(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FeatureSpec(**doc)
 
 
 def test_feature_json_week_is_fixed():

@@ -391,6 +391,35 @@ def test_model_json_rejects_out_of_range_scalars(patch):
             LowRankForecaster(**model_fields(make_model(), **fields))
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"M": 3.9}, "model field M must be an integer, got 3.9"),
+    ({"H": True}, "model field H must be an integer, got True"),
+    ({"n": None}, "model field n must be an integer, got None"),
+    ({"lambda": None}, "model field lambda must be a real number, got None"),
+    ({"kappa": "0"}, "model field kappa must be a real number, got '0'"),
+    ({"rank": 2.0}, "out-of-range rank 2.0: it must be U's width, the integer 2"),
+    ({"loss": {"kind": "huber", "delta": "0.3"}},
+     "huber loss requires a real delta > 0, got '0.3'"),
+], ids=["M", "H", "n", "lambda", "kappa", "rank", "delta"])
+def test_model_json_rejects_wrongly_typed_scalars(patch, message):
+    # the reader does not coerce: M 3.9 used to load as 3 and kappa "0" as 0.0,
+    # while a null lambda or n and a string delta raised TypeError
+    doc = model_to_json(make_model())
+    doc.update(patch)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json(doc)
+    # the model and loss built in the library hold the same rule; rank is U's
+    # width, not a field
+    ((key, value),) = patch.items()
+    if key == "loss":
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Loss(**value)
+    elif key != "rank":
+        fields = model_fields(make_model(), **{{"lambda": "lam"}.get(key, key): value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LowRankForecaster(**fields)
+
+
 def test_model_json_rejects_bad_shapes():
     base = model_to_json(make_model())
 
@@ -459,6 +488,16 @@ def test_trend_json_rejects_non_finite_numbers(patch):
         trend_from_json(doc)
     with pytest.raises(ValueError, match=f"trend field {name} has a non-finite value"):
         TrendModel(S=doc["S"], lam=doc["lam"])
+
+
+@pytest.mark.parametrize("lam", ["0.5", None, True])
+def test_trend_rejects_non_real_lam(lam):
+    # "0.5" used to load as 0.5, and null raised TypeError
+    message = f"trend field lam must be a real number, got {lam!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trend_from_json({"S": [[1.0, 2.0]], "lam": lam, "features": None})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrendModel(S=[[1.0, 2.0]], lam=lam)
 
 
 def test_trend_rejects_negative_lam():
