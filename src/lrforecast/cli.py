@@ -35,8 +35,10 @@ from .features import (
 from .objective import HUBER, L1, SQUARED_L2, Loss, build_weights
 from .serialize import (
     dump_json,
+    json_object,
     load_json,
     load_model_json,
+    loss_to_json,
     read_series_csv,
     save_model_json,
     ss_to_json,
@@ -77,11 +79,7 @@ def _merge_config(args, doc, flags, table=CONFIG_KEYS, group="config") -> None:
     flag the command lacks is ignored, so one file serves fit and sweep.
     flags maps each flag dest of the command to the action that checks it.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{group} must be a JSON object")
-    unknown = set(doc) - set(table)
-    if unknown:
-        raise ValueError(f"unknown {group} options: {', '.join(sorted(unknown))}")
+    json_object(doc, group, optional=table, noun="options")
     for key, dest in table.items():
         val = doc.get(key)
         if val is None:
@@ -231,7 +229,7 @@ def cmd_fit(args) -> int:
     report_doc = asdict(report)  # optimality_residuals' tuple dumps as a list
     report_doc["wall_time_s"] = report_doc.pop("wall_time")
     dump_json(report_out, {
-        **report_doc, "lambda": lam, "alpha": alpha, "kappa": kappa, "loss": loss.to_json(),
+        **report_doc, "lambda": lam, "alpha": alpha, "kappa": kappa, "loss": loss_to_json(loss),
         "train_loss": res.loss, "train_inconsistency": res.inconsistency,
         "per_horizon_train_loss": res.per_horizon_loss.tolist(), "n_windows": res.n_windows,
     })

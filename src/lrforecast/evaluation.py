@@ -233,9 +233,11 @@ def walk_forward_cv(
     trains on everything before boundary j and tests on the segment up to
     boundary j+1, so every test point lies strictly after all of its
     training data (asserted).  Each split runs a full (alpha, kappa)
-    sweep; the aggregate table averages metrics across splits (test
+    sweep; the aggregate table averages metrics across the splits whose
+    row did not fail, or across all of them when every one failed (test
     segments have equal length, so the mean is the window-weighted mean),
-    and an aggregate row is converged only when every split's row is.
+    sums their wall time, and keeps the first split's error.  An aggregate
+    row is failed when any split's row is, converged only when every one is.
     """
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)
@@ -261,16 +263,14 @@ def walk_forward_cv(
     averaged = ("lam", "train_loss", "test_loss", "train_inconsistency", "test_inconsistency")
     for i in range(len(splits[0].rows)):
         group = [t.rows[i] for t in splits]
-        ok = [r for r in group if not r.failed]
-        if not ok:
-            agg.rows.append(replace(group[0]))  # all failed: keeps the first error
-            continue
+        # with every split failed: NaN losses and rank -1
+        ok = [r for r in group if not r.failed] or group
         agg.rows.append(replace(
             group[0],
             **{f: float(np.mean([getattr(r, f) for r in ok])) for f in averaged},
             rank=int(round(np.mean([r.rank for r in ok]))),
             wall_time_s=float(np.sum([r.wall_time_s for r in group])),
-            failed=len(ok) < len(group),
+            failed=any(r.failed for r in group),
             converged=all(r.converged for r in group),
             error=next((r.error for r in group if r.failed), ""),
         ))

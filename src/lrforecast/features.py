@@ -18,7 +18,7 @@ usable for interpretation or simulation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,18 +69,6 @@ class FeatureSpec:
     def columns(self) -> int:
         b = self.base_columns
         return b + b * b if self.products else b
-
-    def to_json(self) -> dict:
-        return asdict(self)  # the periods tuple dumps as a JSON list
-
-    @staticmethod
-    def from_json(obj: dict) -> "FeatureSpec":
-        # older documents carry the fixed week as two keys; no other value means it
-        for key, fixed in (("hours_per_day", HOURS_PER_DAY), ("days_per_week", DAYS_PER_WEEK)):
-            if obj.get(key, fixed) != fixed:
-                raise ValueError(f"feature key {key} must be {fixed}, got {obj[key]!r}")
-        return FeatureSpec(obj.get("periods", ()), obj.get("weekday", False),
-                           obj.get("products", False))
 
 
 def time_features(t_index: np.ndarray, spec: FeatureSpec) -> np.ndarray:

@@ -51,20 +51,6 @@ class Loss:
     def differentiable(self) -> bool:
         return self.kind != L1
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == HUBER:
-            out["delta"] = float(self.delta)
-        return out
-
-    @staticmethod
-    def from_json(obj) -> "Loss":
-        if isinstance(obj, str):
-            return Loss(kind=obj)
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError(f"cannot parse loss from {obj!r}")
-        return Loss(kind=obj["kind"], delta=obj.get("delta"))
-
 
 def huber(delta: float = 1.0) -> Loss:
     return Loss(kind=HUBER, delta=delta)
@@ -101,43 +87,40 @@ def _elementwise_penalty_grad(U: np.ndarray, loss: Loss) -> np.ndarray:
     return np.where(np.abs(U) <= d, 2.0 * U, 2.0 * d * np.sign(U))
 
 
-def loss_value(
-    Fhat: np.ndarray,
-    F: np.ndarray,
-    loss: Loss = Loss(),
-    W: np.ndarray | None = None,
-) -> float:
-    """Average per-window penalty of the residual, (1/N) sum_i l(row_i).
-
-    With weights, the penalty is applied to W * (Fhat - F) elementwise.
-    """
-    Fhat = np.asarray(Fhat, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if Fhat.shape != F.shape:
-        raise ValueError(f"shape mismatch: Fhat {Fhat.shape} vs F {F.shape}")
-    R = Fhat - F
-    if W is not None:
-        R = _check_weights(W, R.shape) * R
-    return float(_elementwise_penalty(R, loss).sum() / R.shape[0])
-
-
-def loss_grad(
-    Fhat: np.ndarray,
-    F: np.ndarray,
-    loss: Loss = Loss(),
-    W: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of loss_value with respect to Fhat (N x Hn)."""
+def _loss_value_grad(
+    Fhat: np.ndarray, F: np.ndarray, loss: Loss, W: np.ndarray | None
+) -> tuple[float, np.ndarray]:
+    # one residual and one weight check for both halves; the gradient is
+    # taken before the squared l2 penalty squares the residual in place
     Fhat = np.asarray(Fhat, dtype=float)
     F = np.asarray(F, dtype=float)
     if Fhat.shape != F.shape:
         raise ValueError(f"shape mismatch: Fhat {Fhat.shape} vs F {F.shape}")
     R = Fhat - F
     N = R.shape[0]
-    if W is None:
-        return _elementwise_penalty_grad(R, loss) / N
-    W = _check_weights(W, R.shape)
-    return W * _elementwise_penalty_grad(W * R, loss) / N
+    if W is not None:
+        W = _check_weights(W, R.shape)
+        R = W * R
+    G = _elementwise_penalty_grad(R, loss)
+    G = G / N if W is None else W * G / N
+    return float(_elementwise_penalty(R, loss).sum() / N), G
+
+
+def loss_value(
+    Fhat: np.ndarray, F: np.ndarray, loss: Loss = Loss(), W: np.ndarray | None = None
+) -> float:
+    """Average per-window penalty of the residual, (1/N) sum_i l(row_i).
+
+    With weights, the penalty is applied to W * (Fhat - F) elementwise.
+    """
+    return _loss_value_grad(Fhat, F, loss, W)[0]
+
+
+def loss_grad(
+    Fhat: np.ndarray, F: np.ndarray, loss: Loss = Loss(), W: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient of loss_value with respect to Fhat (N x Hn)."""
+    return _loss_value_grad(Fhat, F, loss, W)[1]
 
 
 def hankel_project(Z: np.ndarray, n: int) -> np.ndarray:

@@ -14,9 +14,11 @@ surrounding whitespace and digit underscores.  A wrong field count, a
 non-consecutive t, or a value that is not a finite number is rejected
 with a ValueError naming the first offending line.
 
-JSON documents are dumped with sorted keys and a fixed indent so
-identical inputs produce bytewise-identical files.  The model and trend
-readers only parse; the objects they build check themselves, so NaN or
+This is the only module that reads or writes JSON.  Documents are dumped
+with sorted keys and a fixed indent, so identical inputs give identical
+bytes.  Every JSON object read, CLI config included, passes json_object
+(an object, its required keys, no unknown key); beyond that the readers
+only parse, and the objects they build check themselves, so NaN or
 Infinity (which Python's json reads) is rejected naming the field.
 """
 
@@ -27,7 +29,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import astuple
+from dataclasses import asdict, astuple, fields
 from typing import NoReturn
 
 import numpy as np
@@ -35,7 +37,7 @@ import numpy as np
 from .baselines import StateSpaceModel
 from .core import TimeSeries, _is_number
 from .evaluation import SWEEP_CSV_COLUMNS, SweepRow
-from .features import FeatureSpec, ModelBundle, TrendModel
+from .features import DAYS_PER_WEEK, HOURS_PER_DAY, FeatureSpec, ModelBundle, TrendModel
 from .objective import Loss
 from .solver import LowRankForecaster
 from .simgen import SimSpec
@@ -185,6 +187,45 @@ def write_matrix_csv(
     _write_csv(path, names, values, t_index)
 
 
+# -------------------------------------------------------------- JSON objects
+
+
+def json_object(doc, name: str, required=(), optional=(), noun: str = "fields") -> dict:
+    """doc if it is an object holding every required key and no key outside
+    required and optional; else a ValueError naming the document and keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValueError(f"{name} missing {noun}: {', '.join(missing)}")
+    unknown = set(doc).difference(required, optional)
+    if unknown:
+        raise ValueError(f"unknown {name} {noun}: {', '.join(sorted(unknown))}")
+    return doc
+
+
+def loss_to_json(loss: Loss) -> dict:
+    return {k: v for k, v in asdict(loss).items() if v is not None}  # delta: huber only
+
+
+def loss_from_json(doc, name: str = "loss") -> Loss:
+    return Loss(**json_object(doc, name, ("kind",), ("delta",)))
+
+
+# older documents carry the fixed week as two keys; no other value means it
+_FIXED_WEEK = {"hours_per_day": HOURS_PER_DAY, "days_per_week": DAYS_PER_WEEK}
+
+
+def features_from_json(doc, name: str = "feature spec") -> FeatureSpec | None:
+    if doc is None:  # documents write null for no features
+        return None
+    spec = dict(json_object(doc, name, (), ("periods", "weekday", "products", *_FIXED_WEEK)))
+    for key, fixed in _FIXED_WEEK.items():
+        if spec.pop(key, fixed) != fixed:
+            raise ValueError(f"feature key {key} must be {fixed}, got {doc[key]!r}")
+    return FeatureSpec(**spec)
+
+
 # ----------------------------------------------------------------- model JSON
 
 
@@ -201,7 +242,7 @@ def model_to_json(
         "rank": model.rank,
         "lambda": model.lam,
         "kappa": model.kappa,
-        "loss": model.loss.to_json(),
+        "loss": loss_to_json(model.loss),
         "means": model.means.tolist(),
         "U": model.U.tolist(),
         "V": model.V.tolist(),
@@ -212,29 +253,29 @@ def model_to_json(
     if phi is not None:
         doc["aux"] = {
             "Phi": np.asarray(phi, dtype=float).tolist(),
-            "features": aux_features.to_json() if aux_features else None,
+            "features": asdict(aux_features) if aux_features else None,
         }
     return doc
 
 
-def model_from_json(doc: dict) -> ModelBundle:
-    required = ("n", "M", "H", "rank", "lambda", "kappa", "loss", "means", "U", "V",
-                "singular_values")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ValueError(f"model document missing fields: {', '.join(missing)}")
+def model_from_json(doc) -> ModelBundle:
+    json_object(doc, "model document", ("n", "M", "H", "rank", "lambda", "kappa", "loss",
+                "means", "U", "V", "singular_values"), ("trend", "aux"))
     model = LowRankForecaster(
         U=doc["U"], V=doc["V"], singular_values=doc["singular_values"], n=doc["n"],
         M=doc["M"], H=doc["H"], lam=doc["lambda"], kappa=doc["kappa"],
-        loss=Loss.from_json(doc["loss"]), means=doc["means"],
+        loss=loss_from_json(doc["loss"], "model loss"), means=doc["means"],
     )
     if not _is_number(doc["rank"], integer=True) or doc["rank"] != model.rank:
         raise ValueError(f"model document has out-of-range rank {doc['rank']!r}: "
                          f"it must be U's width, the integer {model.rank}")
-    trend = trend_from_json(doc["trend"]) if doc.get("trend") else None
-    aux = doc.get("aux") or {}
-    feats = FeatureSpec.from_json(aux["features"]) if aux.get("features") else None
-    return ModelBundle(model, trend, phi=aux["Phi"] if aux else None, aux_features=feats)
+    trend = doc.get("trend")
+    if trend is not None:
+        trend = trend_from_json(trend, "model trend")
+    aux = doc.get("aux")
+    aux = {} if aux is None else json_object(aux, "model aux", ("Phi",), ("features",))
+    return ModelBundle(model, trend, phi=aux.get("Phi"),
+                       aux_features=features_from_json(aux.get("features"), "model aux.features"))
 
 
 def save_model_json(path: str, model: LowRankForecaster, **extras) -> None:
@@ -252,33 +293,28 @@ def trend_to_json(trend: TrendModel) -> dict:
     return {
         "S": trend.S.tolist(),
         "lam": trend.lam,
-        "features": trend.features.to_json() if trend.features else None,
+        "features": asdict(trend.features) if trend.features else None,
     }
 
 
-def trend_from_json(doc: dict) -> TrendModel:
-    feats = FeatureSpec.from_json(doc["features"]) if doc.get("features") else None
+def trend_from_json(doc, name: str = "trend document") -> TrendModel:
+    json_object(doc, name, ("S",), ("lam", "features"))
+    feats = features_from_json(doc.get("features"), f"{name} features")
     return TrendModel(S=doc["S"], lam=doc.get("lam", 0.0), features=feats)
 
 
 def ss_to_json(model: StateSpaceModel, spec: SimSpec | None = None) -> dict:
-    doc = {
-        "A": model.A.tolist(),
-        "C": model.C.tolist(),
-        "Q": model.Q.tolist(),
-        "R": model.R.tolist(),
-    }
+    doc = {k: getattr(model, k).tolist() for k in "ACQR"}
     if spec is not None:
-        doc["spec"] = spec.to_json()
+        doc["spec"] = asdict(spec)
     return doc
 
 
-def ss_from_json(doc: dict) -> StateSpaceModel:
-    try:
-        mats = [np.array(doc[k], dtype=float) for k in ("A", "C", "Q", "R")]
-    except KeyError as e:
-        raise ValueError(f"state-space document missing field {e.args[0]!r}") from None
-    return StateSpaceModel(*mats)
+def ss_from_json(doc) -> StateSpaceModel:
+    json_object(doc, "state-space document", tuple("ACQR"), ("spec",))
+    if "spec" in doc:
+        json_object(doc["spec"], "state-space spec", (), [f.name for f in fields(SimSpec)])
+    return StateSpaceModel(*(np.array(doc[k], dtype=float) for k in "ACQR"))
 
 
 # ------------------------------------------------------------------ sweep CSV

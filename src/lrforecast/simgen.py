@@ -13,7 +13,7 @@ for a given seed within this implementation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,6 @@ class SimSpec:
             raise ValueError("spectral_radius must be in (0, 1)")
         if self.q_scale < 0 or self.r_scale < 0:
             raise ValueError("noise scales must be nonnegative")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(obj: dict) -> "SimSpec":
-        return SimSpec(**obj)
 
 
 def gen_model(spec: SimSpec) -> StateSpaceModel:

@@ -40,7 +40,7 @@ from scipy.optimize import minimize
 
 from .core import WindowedDataset, _is_number
 from .objective import (
-    L1, SQUARED_L2, Loss, _check_weights, hankel_project, huber, inconsistency, loss_grad,
+    L1, SQUARED_L2, Loss, _check_weights, _loss_value_grad, hankel_project, huber, loss_grad,
     loss_value,
 )
 
@@ -265,11 +265,8 @@ def main_objective(
     W: np.ndarray | None = None,
 ) -> float:
     """Value of the convex problem: loss + lam * nuclear + kappa * inconsistency."""
-    Fhat = data.P @ theta
-    val = loss_value(Fhat, data.F, loss, W) + lam * nuclear_norm(theta)
-    if kappa != 0.0:
-        val += kappa * inconsistency(Fhat, data.n)
-    return val
+    val, _ = _forecast_value_grad(data.P @ theta, data.F, data.n, loss, W, kappa)
+    return val + lam * nuclear_norm(theta)
 
 
 def _forecast_value_grad(
@@ -281,8 +278,7 @@ def _forecast_value_grad(
     kappa: float,
 ) -> tuple[float, np.ndarray]:
     # smooth data terms and their gradient in Fhat
-    val = loss_value(Fhat, F, loss, W)
-    G = loss_grad(Fhat, F, loss, W)
+    val, G = _loss_value_grad(Fhat, F, loss, W)
     if kappa != 0.0:
         D = Fhat - hankel_project(Fhat, n)
         val += kappa * float((D * D).sum())

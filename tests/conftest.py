@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,24 @@ def fd_grad(f, X, eps=1e-6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# edited()'s value that deletes the key at the path instead of setting it
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """A deep copy of a JSON document with the key at path (a tuple of keys,
+    outermost first) set to value or deleted; the empty path replaces the
+    whole document."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc

@@ -15,6 +15,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import DELETE, edited
 from lrforecast.cli import main
 from lrforecast.core import build_windows, center
 from lrforecast.evaluation import EvalResult, evaluate
@@ -108,7 +109,7 @@ def test_simulate_every_flag_reaches_the_spec(tmp_path):
         "--T-test", 20, "--spectral-radius", 0.9, "--q-scale", 0.5, "--r-scale", 0.2,
         "--seed", 7,
     ) == 0
-    assert SimSpec.from_json(load_json(str(tmp_path / "model.json"))["spec"]) == want
+    assert SimSpec(**load_json(str(tmp_path / "model.json"))["spec"]) == want
     train, Z = sample(gen_model(want), 30, seed=7)
     assert np.array_equal(read_series_csv(str(tmp_path / "train.csv")).values, train.values)
     assert np.array_equal(read_series_csv(str(tmp_path / "states.csv")).values, Z)
@@ -916,6 +917,101 @@ def test_delta_without_huber_exits_two(small, tmp_path, capsys):
     assert not model_out.exists() and not sweep_out.exists()
     assert run(*fit, "--loss", "huber") == 0  # huber's threshold defaults to 1
     assert load_model_json(str(model_out)).model.loss == Loss("huber", delta=1.0)
+
+
+@pytest.fixture(scope="module")
+def documents(sim, tmp_path_factory):
+    """A detrend's trend.json and a feature fit of its residual that carries
+    the trend: a model document with every optional object."""
+    d = tmp_path_factory.mktemp("documents")
+    assert run("detrend", "--input", sim / "train.csv", "--periods", "24,7",
+               "--out", d / "resid.csv", "--trend-out", d / "trend.json") == 0
+    assert run("fit", "--train", d / "resid.csv", "--M", 4, "--H", 3, "--alpha", 0.3,
+               "--periods", 12, "--weekday", "--trend", d / "trend.json",
+               "--model-out", d / "model.json", "--report-out", d / "report.json") == 0
+    return d
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("model", ("aux",), [1], "model aux must be a JSON object"),
+    ("model", ("aux", "features"), "abc", "model aux.features must be a JSON object"),
+    ("model", ("kapa",), 1.0, "unknown model document fields: kapa"),
+    ("model", ("aux", "phi"), [[0.0]], "unknown model aux fields: phi"),
+    ("model", ("aux", "features", "weeekday"), False,
+     "unknown model aux.features fields: weeekday"),
+    ("model", ("loss", "dleta"), 0.3, "unknown model loss fields: dleta"),
+    ("model", ("loss",), "squared_l2", "model loss must be a JSON object"),
+    ("model", ("trend", "lamb"), 0.0, "unknown model trend fields: lamb"),
+    ("trend", (), [1], "trend document must be a JSON object"),
+    ("trend", ("lamb",), 0.0, "unknown trend document fields: lamb"),
+    ("trend", ("S",), DELETE, "trend document missing fields: S"),
+], ids=["aux-list", "features-string", "model-key", "aux-key", "features-key", "loss-key",
+        "loss-string", "model-trend-key", "trend-list", "trend-key", "trend-without-S"])
+def test_malformed_documents_exit_two(sim, documents, tmp_path, capsys, kind, path, value,
+                                      message):
+    # the non-objects ended in an AttributeError traceback (exit 1), the
+    # misspelled keys were dropped and the bare loss string read (exit 0), and
+    # a trend without S printed a bare "error: 'S'"
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    dump_json(str(bad), edited(load_json(str(documents / f"{kind}.json")), path, value))
+    if kind == "model":
+        argv = ("evaluate", "--model", bad, "--input", sim / "test.csv", "--out", out)
+    else:
+        argv = ("fit", "--train", documents / "resid.csv", "--M", 4, "--H", 3, "--alpha", 0.3,
+                "--trend", bad, "--model-out", out, "--report-out", tmp_path / "r.json")
+    assert run(*argv) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--train", "{train}", "--test", "{test}", "--M", 3, "--H", 2,
+      "--alphas", "0.1,x", "--out", "{out}"), "bad number list '0.1,x'"),
+    (("fit", "--M", 3, "--H", 2, "--alpha", 0.3, "--model-out", "{out}"),
+     "a training CSV is required (--train)"),
+    (("sweep", "--train", "{train}", "--M", 3, "--H", 2, "--alphas", 0.3, "--out", "{out}"),
+     "--train and --test CSVs are required"),
+    (("sweep", "--train", "{train}", "--test", "{test}", "--M", 3, "--alphas", 0.3,
+      "--out", "{out}"), "--M and --H are required"),
+    (("sweep", "--train", "{train}", "--test", "{test}", "--M", 3, "--H", 2,
+      "--out", "{out}"), "--alphas is required (comma-separated)"),
+    (("detrend", "--input", "{train}", "--out", "{out}", "--trend-out", "{out}.json"),
+     "give --periods/--weekday features or an --aux CSV"),
+    (("latent", "--model", "{model}", "--input", "{short}", "--out", "{out}",
+      "--ar-out", "{out}.json"), "series has 3 rows; need at least M=4"),
+], ids=["alphas-not-numbers", "fit-no-train", "sweep-no-test", "sweep-no-H", "no-alphas",
+        "detrend-no-features", "latent-short-series"])
+def test_missing_or_bad_arguments_exit_two(sim, fitted, tmp_path, capsys, argv, message):
+    short = tmp_path / "short.csv"
+    short.write_text("a,b,c\n" + "0,0,0\n" * 3)
+    paths = {"train": sim / "train.csv", "test": sim / "test.csv", "model": fitted["model"],
+             "short": short, "out": tmp_path / "out"}
+    try:
+        code = run(*(str(a).format(**paths) for a in argv))
+    except SystemExit as e:  # argparse refuses a flag value that its type rejects
+        code = e.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.csv"]
+
+
+@pytest.mark.parametrize("loss, want", [("huber", {"kind": "huber", "delta": 1.0}),
+                                        ("l1", {"kind": "l1"})])
+def test_config_loss_may_be_a_bare_kind(small, tmp_path, loss, want):
+    cfg, report = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json(str(cfg), {"loss": loss})
+    assert run("fit", "--config", cfg, "--train", small / "train.csv", "--M", 3, "--H", 2,
+               "--alpha", 0.3, "--model-out", tmp_path / "m.json", "--report-out", report) == 0
+    assert load_json(str(report))["loss"] == want
+
+
+def test_config_loss_of_another_type_exits_two(small, tmp_path, capsys):
+    cfg, model = tmp_path / "c.json", tmp_path / "m.json"
+    dump_json(str(cfg), {"loss": 3})
+    assert run("fit", "--config", cfg, "--train", small / "train.csv", "--M", 3, "--H", 2,
+               "--alpha", 0.3, "--model-out", model, "--report-out", tmp_path / "r.json") == 2
+    assert "error: loss must be a JSON object" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_numerical_failures_exit_three(sim, tmp_path, capsys):

@@ -343,6 +343,22 @@ def test_walk_forward_aggregate_keeps_first_error(rng, monkeypatch):
     assert second.converged and not first.converged and not agg.converged
     assert agg.test_loss == second.test_loss
 
+    # every split fails: the row is aggregated like any other, over the
+    # failed rows (it used to be a copy of the first split's row)
+    def all_fail(data, lam, kappa=0.0, loss=Loss(), opts=None, means=None):
+        raise RuntimeError(f"split N={data.N}")
+
+    monkeypatch.setattr(evaluation, "fit_auto_rank", all_fail)
+    cv = walk_forward_cv(x, 2, [0.4], [0.0], M=3, H=2, opts=FitOptions(k=3))
+    rows = [t.rows[0] for t in cv.splits]
+    (agg,) = cv.aggregate.rows
+    assert all(r.failed for r in rows) and agg.failed and not agg.converged
+    assert agg.error == rows[0].error == "RuntimeError: split N=24"
+    assert agg.wall_time_s == sum(r.wall_time_s for r in rows)
+    assert agg.lam == np.mean([r.lam for r in rows]) and agg.rank == -1
+    assert np.isnan([agg.train_loss, agg.test_loss, agg.train_inconsistency,
+                     agg.test_inconsistency]).all()
+
 
 def test_walk_forward_aggregate_converged_needs_every_split(rng, monkeypatch):
     x = small_series(rng, T=80)

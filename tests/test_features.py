@@ -7,6 +7,7 @@ with orthogonal feature columns for the joint fit.
 """
 
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from lrforecast import (
     SimSpec,
 )
 from lrforecast.core import WindowedDataset
+from lrforecast.serialize import features_from_json
 from lrforecast.solver import _residuals_from_svd
 
 
@@ -118,7 +120,7 @@ def test_feature_spec_validation_and_json():
         with pytest.raises(ValueError, match="periods must be finite and positive"):
             FeatureSpec(periods=(24.0, bad))
     spec = hourly_weekly_spec()
-    again = FeatureSpec.from_json(spec.to_json())
+    again = features_from_json(asdict(spec))
     assert again == spec
 
 
@@ -133,7 +135,7 @@ def test_feature_spec_is_read_as_written(doc, message):
     # "24" used to become the periods (2.0, 4.0), "false" a True flag, and 5
     # raised TypeError
     with pytest.raises(ValueError, match=re.escape(message)):
-        FeatureSpec.from_json(doc)
+        features_from_json(doc)
     with pytest.raises(ValueError, match=re.escape(message)):
         FeatureSpec(**doc)
 
@@ -141,12 +143,12 @@ def test_feature_spec_is_read_as_written(doc, message):
 def test_feature_json_week_is_fixed():
     # older documents carry the fixed week as two keys, 24 and 7
     doc = {"periods": [12.0], "weekday": True, "products": False}
-    assert FeatureSpec.from_json({**doc, "hours_per_day": 24, "days_per_week": 7}) == \
-        FeatureSpec.from_json(doc) == FeatureSpec(periods=(12.0,), weekday=True)
-    assert set(FeatureSpec.from_json(doc).to_json()) == {"periods", "weekday", "products"}
+    assert features_from_json({**doc, "hours_per_day": 24, "days_per_week": 7}) == \
+        features_from_json(doc) == FeatureSpec(periods=(12.0,), weekday=True)
+    assert set(asdict(features_from_json(doc))) == {"periods", "weekday", "products"}
     for key, value in (("hours_per_day", 12), ("days_per_week", 5)):
         with pytest.raises(ValueError, match=f"feature key {key} must be"):
-            FeatureSpec.from_json({**doc, key: value})
+            features_from_json({**doc, key: value})
 
 
 # ----------------------------------------------------------------- detrending

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import DELETE, edited
+
 from lrforecast.baselines import StateSpaceModel
 from lrforecast.core import TimeSeries
 from lrforecast.evaluation import SWEEP_CSV_COLUMNS, SweepRow
@@ -24,8 +26,10 @@ from lrforecast.features import FeatureSpec, ModelBundle, TrendModel
 from lrforecast.objective import Loss
 from lrforecast.serialize import (
     dump_json,
+    features_from_json,
     load_json,
     load_model_json,
+    loss_from_json,
     model_from_json,
     model_to_json,
     read_series_csv,
@@ -546,13 +550,13 @@ def test_ss_json_round_trip():
     back = ss_from_json(doc)
     for name in ("A", "C", "Q", "R"):
         assert np.array_equal(getattr(back, name), getattr(model, name))
-    assert SimSpec.from_json(doc["spec"]) == spec
+    assert SimSpec(**doc["spec"]) == spec
 
 
 def test_ss_json_missing_field():
     doc = ss_to_json(StateSpaceModel(0.5 * np.eye(1), np.eye(1), np.eye(1), np.eye(1)))
     del doc["Q"]
-    with pytest.raises(ValueError, match="missing field 'Q'"):
+    with pytest.raises(ValueError, match="state-space document missing fields: Q"):
         ss_from_json(doc)
 
 
@@ -569,6 +573,62 @@ def test_ss_json_rejects_non_finite_matrices(patch, name):
     doc = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], **patch}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         ss_from_json(doc)
+
+
+def every_document():
+    """One document of each kind, as the writers produce them; the model
+    carries a trend and an aux block with feature specs."""
+    feats = FeatureSpec(periods=(24.0,), weekday=True)
+    trend = TrendModel(S=np.arange(6.0).reshape(2, 3), lam=0.25, features=feats)
+    model = model_to_json(make_model(loss=Loss("huber", delta=0.3)), trend=trend,
+                          phi=np.zeros((3, 4)), aux_features=feats)
+    ss = ss_to_json(StateSpaceModel(0.5 * np.eye(1), np.eye(1), np.eye(1), np.eye(1)),
+                    spec=SimSpec())
+    return {"model": model, "trend": trend_to_json(trend), "state-space": ss,
+            "features": dataclasses.asdict(feats), "loss": model["loss"]}
+
+
+JSON_READERS = {"model": model_from_json, "trend": trend_from_json, "state-space": ss_from_json,
+                "features": features_from_json, "loss": loss_from_json}
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("model", (), [1], "model document must be a JSON object"),
+    ("model", ("kapa",), 1.5, "unknown model document fields: kapa"),
+    ("model", ("loss",), "squared_l2", "model loss must be a JSON object"),
+    ("model", ("loss", "dleta"), 0.3, "unknown model loss fields: dleta"),
+    ("model", ("loss", "kind"), DELETE, "model loss missing fields: kind"),
+    ("model", ("trend",), [1], "model trend must be a JSON object"),
+    ("model", ("trend", "lamb"), 0.0, "unknown model trend fields: lamb"),
+    ("model", ("trend", "S"), DELETE, "model trend missing fields: S"),
+    ("model", ("trend", "features", "weeekday"), True,
+     "unknown model trend features fields: weeekday"),
+    ("model", ("aux",), [1], "model aux must be a JSON object"),
+    ("model", ("aux", "phi"), [[0.0]], "unknown model aux fields: phi"),
+    ("model", ("aux", "Phi"), DELETE, "model aux missing fields: Phi"),
+    ("model", ("aux", "features"), "abc", "model aux.features must be a JSON object"),
+    ("model", ("aux", "features", "weeekday"), True,
+     "unknown model aux.features fields: weeekday"),
+    ("trend", (), [1], "trend document must be a JSON object"),
+    ("trend", ("lamb",), 0.0, "unknown trend document fields: lamb"),
+    ("trend", ("S",), DELETE, "trend document missing fields: S"),
+    ("trend", ("features",), [24.0], "trend document features must be a JSON object"),
+    ("state-space", (), "A", "state-space document must be a JSON object"),
+    ("state-space", ("B",), [[1.0]], "unknown state-space document fields: B"),
+    ("state-space", ("spec",), [1], "state-space spec must be a JSON object"),
+    ("state-space", ("spec", "rank"), 2, "unknown state-space spec fields: rank"),
+    ("features", (), 24.0, "feature spec must be a JSON object"),
+    ("features", ("period",), [24.0], "unknown feature spec fields: period"),
+    ("loss", (), "huber", "loss must be a JSON object"),
+    ("loss", ("threshold",), 1.0, "unknown loss fields: threshold"),
+])
+def test_json_readers_check_every_object(kind, path, value, message):
+    # a misspelled key used to be dropped without a word, a non-object aux,
+    # aux.features or trend raised AttributeError, and a bare "squared_l2"
+    # loss was read as the loss kind
+    doc = edited(every_document()[kind], path, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        JSON_READERS[kind](doc)
 
 
 # ------------------------------------------------------------------ sweep CSV

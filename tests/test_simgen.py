@@ -1,5 +1,8 @@
 """Synthetic state-space generator tests."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ def test_spec_json_round_trip():
         n=4, r=3, T_train=60, T_test=80,
         spectral_radius=0.9, q_scale=2.0, r_scale=0.5, seed=7,
     )
-    assert SimSpec.from_json(spec.to_json()) == spec
+    assert SimSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
 
 def test_gen_model_hits_spectral_radius_exactly():
