@@ -37,7 +37,6 @@ from .solver import (
 )
 from .baselines import (
     AutocovSet,
-    FullForecaster,
     StateSpaceModel,
     ar_fit,
     ar_iterated_forecaster,
@@ -84,10 +83,10 @@ __all__ = [
     "FitOptions", "FitReport", "LowRankForecaster", "NumericalError",
     "fit_factored", "fit_auto_rank", "lambda_max", "main_objective",
     "nuclear_norm", "optimality_residuals", "reduce_rank", "svt_reference_solve",
-    "FullForecaster", "StateSpaceModel", "AutocovSet", "ridge_fit",
-    "empirical_autocov", "empirical_forecaster", "cond_mean_forecaster",
-    "ar_fit", "ar_iterated_forecaster", "stationary_cov", "ss_autocov",
-    "ss_forecaster", "zero_forecaster", "mean_forecaster", "to_low_rank",
+    "StateSpaceModel", "AutocovSet", "ridge_fit", "empirical_autocov",
+    "empirical_forecaster", "cond_mean_forecaster", "ar_fit", "ar_iterated_forecaster",
+    "stationary_cov", "ss_autocov", "ss_forecaster", "zero_forecaster", "mean_forecaster",
+    "to_low_rank",
     "FeatureSpec", "ModelBundle", "TrendModel", "time_features", "detrend_fit", "detrend_apply",
     "retrend", "aux_joint_fit", "latent_ar_fit",
     "SimSpec", "gen_model", "sample", "state_alignment",

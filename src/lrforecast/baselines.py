@@ -1,7 +1,9 @@
 """Statistical baseline forecasters.
 
-All baselines produce a dense coefficient matrix theta (Mn x Hn) acting on
-centered past windows, wrapped in a FullForecaster:
+Every baseline is a LowRankForecaster at lambda = kappa = 0 with the
+squared-l2 loss: a linear map theta (Mn x Hn) on centered past windows, held
+as balanced factors by to_low_rank or, for the state-space forecaster, by
+its own encoder and decoder:
 
   * ridge regression of future windows on past windows;
   * the conditional-mean forecaster of a stationary Gaussian process with
@@ -30,43 +32,6 @@ from scipy.linalg import cho_solve, solve_discrete_lyapunov
 from .core import TimeSeries, WindowedDataset, build_windows
 from .objective import Loss
 from .solver import LowRankForecaster, NumericalError, reduce_rank
-
-
-@dataclass
-class FullForecaster:
-    """A dense linear forecaster f_hat = theta^T p on centered windows.
-
-    Checks itself as LowRankForecaster does: n, M, H >= 1, theta of shape
-    (Mn, Hn), means of shape (n,), and every number finite.
-    """
-
-    theta: np.ndarray
-    n: int
-    M: int
-    H: int
-    means: np.ndarray = None
-
-    def __post_init__(self):
-        if min(self.n, self.M, self.H) < 1:
-            raise ValueError(f"n, M and H must be >= 1, got {self.n}, {self.M}, {self.H}")
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.M * self.n, self.H * self.n):
-            raise ValueError(
-                f"theta has shape {self.theta.shape}, expected "
-                f"({self.M * self.n}, {self.H * self.n})"
-            )
-        self.means = np.zeros(self.n) if self.means is None else np.asarray(self.means, dtype=float)
-        if self.means.shape != (self.n,):
-            raise ValueError(f"means has shape {self.means.shape}, expected ({self.n},)")
-        for name in ("theta", "means"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has a non-finite value")
-
-    def forecast(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1] != self.M * self.n:
-            raise ValueError(f"past window has length {p.shape[-1]}, expected {self.M * self.n}")
-        return p @ self.theta
 
 
 @dataclass
@@ -147,13 +112,15 @@ class AutocovSet:
         return len(self.sigmas) - 1
 
 
-def ridge_fit(data: WindowedDataset, lam: float, means: np.ndarray | None = None) -> FullForecaster:
+def ridge_fit(
+    data: WindowedDataset, lam: float, means: np.ndarray | None = None
+) -> LowRankForecaster:
     """theta = (P^T P + N lam I)^{-1} P^T F; requires lam > 0 or P^T P nonsingular."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     theta = _ridge_solve(data.P, data.F, data.N * lam,
                          "normal equations are singular at lam=0; pass lam > 0")
-    return FullForecaster(theta=theta, n=data.n, M=data.M, H=data.H, means=means)
+    return to_low_rank(theta, data.n, data.M, data.H, means)
 
 
 def _ridge_solve(X: np.ndarray, Y: np.ndarray, c: float, msg: str) -> np.ndarray:
@@ -190,7 +157,9 @@ def empirical_autocov(data: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
     return data.P.T @ data.P / N, data.F.T @ data.P / N
 
 
-def empirical_forecaster(data: WindowedDataset, means: np.ndarray | None = None) -> FullForecaster:
+def empirical_forecaster(
+    data: WindowedDataset, means: np.ndarray | None = None
+) -> LowRankForecaster:
     """Minimum-norm least squares fit of F on P (pseudoinverse solution).
 
     Unlike ridge_fit at lam=0 this is total: when the past-window Gram
@@ -198,7 +167,7 @@ def empirical_forecaster(data: WindowedDataset, means: np.ndarray | None = None)
     the minimum-Frobenius-norm interpolant.
     """
     theta = np.linalg.lstsq(data.P, data.F, rcond=None)[0]
-    return FullForecaster(theta=theta, n=data.n, M=data.M, H=data.H, means=means)
+    return to_low_rank(theta, data.n, data.M, data.H, means)
 
 
 def cond_mean_forecaster(
@@ -207,7 +176,7 @@ def cond_mean_forecaster(
     H: int,
     jitter: float = 0.0,
     means: np.ndarray | None = None,
-) -> FullForecaster:
+) -> LowRankForecaster:
     """Conditional mean of the future given the past under stationarity.
 
     Builds the block-Toeplitz second-moment matrix of the stacked vector
@@ -216,8 +185,8 @@ def cond_mean_forecaster(
     """
     if acov.L < M + H - 1:
         raise ValueError(f"need lags up to {M + H - 1}, got only {acov.L}")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+    if not 0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     n = acov.n
     m = M + H
     big = np.empty((m * n, m * n))
@@ -231,8 +200,7 @@ def cond_mean_forecaster(
         Spp + jitter * np.eye(M * n),
         "past-window covariance is not positive definite at this jitter; increase jitter",
     )
-    theta = cho_solve((chol, True), Spf)
-    return FullForecaster(theta=theta, n=n, M=M, H=H, means=means)
+    return to_low_rank(cho_solve((chol, True), Spf), n, M, H, means)
 
 
 def ar_fit(
@@ -247,6 +215,8 @@ def ar_fit(
         series = TimeSeries(series)
     if M < 1:
         raise ValueError("M must be >= 1")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     if series.T < M + 1:
         raise ValueError(f"series too short for AR({M}): T={series.T}")
     windows = build_windows(series, M, 1)
@@ -262,7 +232,7 @@ def ar_fit(
 
 def ar_iterated_forecaster(
     A_list: list[np.ndarray], M: int, H: int, means: np.ndarray | None = None
-) -> FullForecaster:
+) -> LowRankForecaster:
     """Rolls a one-step AR(M) model H steps ahead.
 
     Each predicted value is fed back in place of the unknown future value,
@@ -284,8 +254,7 @@ def ar_iterated_forecaster(
     Phi = np.eye(M * n, k=n)
     Phi[-n:] = np.hstack(A_list[::-1])  # the window stacks oldest first
     E = np.eye(n, M * n, k=(M - 1) * n)
-    theta = _propagate(E, Phi, H).T
-    return FullForecaster(theta=theta, n=n, M=M, H=H, means=means)
+    return to_low_rank(_propagate(E, Phi, H).T, n, M, H, means)
 
 
 def _propagate(C: np.ndarray, A: np.ndarray, H: int) -> np.ndarray:
@@ -334,7 +303,7 @@ def ss_forecaster(
     H: int,
     include_initial_prior: bool = True,
     means: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, FullForecaster]:
+) -> tuple[np.ndarray, np.ndarray, LowRankForecaster]:
     """Exact forecaster of a state-space model from an M-step window.
 
     The window smoother minimizes z_1' Pi^{-1} z_1 [optional prior]
@@ -346,7 +315,8 @@ def ss_forecaster(
     it for each transition, plus Pi^{-1} in block (1, 1) with the prior.
     The gain K with z_t = K p_t is the z_M rows of J^{-1}
     (I_M kron C^T R^{-1}); the forecast stacks C A^h z_t for h = 1..H, so
-    theta^T = [C A; C A^2; ...; C A^H] K and rank(theta) <= r.
+    theta^T = [C A; C A^2; ...; C A^H] K.  The model is built from the
+    factors K^T and stack^T, so its rank is at most r by construction.
 
     With include_initial_prior the first window state carries its
     stationary prior, which makes K the exact conditional mean and the
@@ -377,36 +347,54 @@ def ss_forecaster(
     chol = _spd_cholesky(J, "smoother information matrix is numerically singular")
     K = cho_solve((chol, True), np.kron(np.eye(M), CtRinv))[-r:]
     stack = _propagate(C, A, H)
-    theta = (stack @ K).T
-    return K, stack, FullForecaster(theta=theta, n=model.n, M=M, H=H, means=means)
+    return K, stack, _factored(K.T, stack.T, model.n, M, H, means)
 
 
-def zero_forecaster(n: int, M: int, H: int, means: np.ndarray | None = None) -> FullForecaster:
+def zero_forecaster(n: int, M: int, H: int, means: np.ndarray | None = None) -> LowRankForecaster:
     """Predicts zero for every centered coordinate (the stored means raw)."""
-    return FullForecaster(theta=np.zeros((M * n, H * n)), n=n, M=M, H=H, means=means)
+    return to_low_rank(np.zeros((M * n, H * n)), n, M, H, means)
 
 
-def mean_forecaster(series: TimeSeries | np.ndarray, M: int, H: int) -> FullForecaster:
+def mean_forecaster(series: TimeSeries | np.ndarray, M: int, H: int) -> LowRankForecaster:
     """Predicts the per-coordinate training mean at every horizon."""
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)
     return zero_forecaster(series.n, M, H, means=series.values.mean(axis=0))
 
 
-def to_low_rank(full: FullForecaster, rank: int) -> LowRankForecaster:
-    """Truncated SVD: reduce_rank(theta, I) cut to `rank` columns; RANK_TOL may leave fewer."""
-    if rank < 0 or rank > min(full.theta.shape):
-        raise ValueError(f"rank must be in [0, {min(full.theta.shape)}]")
-    U, V, (_, s, _) = reduce_rank(full.theta, np.eye(full.theta.shape[1]))
+def to_low_rank(
+    theta: np.ndarray, n: int, M: int, H: int, means: np.ndarray | None = None,
+    rank: int | None = None,
+) -> LowRankForecaster:
+    """The forecaster f_hat = theta^T p of a dense theta (Mn x Hn).
+
+    reduce_rank(theta, I) gives its balanced factors, cut to `rank` columns
+    when rank is given (RANK_TOL may leave fewer).  Shapes, n, M, H >= 1
+    and finite means are LowRankForecaster's own checks.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():  # before the SVD, which would not converge
+        raise ValueError("theta has a non-finite value")
+    if rank is not None and not 0 <= rank <= min(theta.shape):
+        raise ValueError(f"rank must be in [0, {min(theta.shape)}]")
+    return _factored(theta, np.eye(theta.shape[-1]), n, M, H, means, rank)
+
+
+def _factored(
+    U: np.ndarray, V: np.ndarray, n: int, M: int, H: int, means: np.ndarray | None,
+    rank: int | None = None,
+) -> LowRankForecaster:
+    """The lambda = kappa = 0 squared-l2 model of theta = U V, cut to `rank` columns."""
+    U, V, (_, s, _) = reduce_rank(U, V)
     return LowRankForecaster(
         U=U[:, :rank],
         V=V[:rank],
         singular_values=s[:rank],
-        n=full.n,
-        M=full.M,
-        H=full.H,
+        n=n,
+        M=M,
+        H=H,
         lam=0.0,
         kappa=0.0,
         loss=Loss(),
-        means=full.means,
+        means=np.zeros(n) if means is None else means,
     )

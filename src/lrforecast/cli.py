@@ -332,14 +332,15 @@ def cmd_latent(args) -> int:
         raise ValueError(f"series has {centered.T} rows; need at least M={model.M}")
     Z = model.encode(past_windows(centered.values, model.M))
     count = Z.shape[0]
+    # fit before writing, so a failed fit leaves neither file behind
+    A, Wc = latent_ar_fit(Z, jitter=args.jitter)
+    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     write_matrix_csv(
         args.out,
         Z,
         [f"z{j + 1}" for j in range(model.rank)],
         t_index=origin_times(series, model.M, count),
     )
-    A, Wc = latent_ar_fit(Z, jitter=args.jitter)
-    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     dump_json(
         args.ar_out,
         {"A": A.tolist(), "W": Wc.tolist(), "spectral_radius": rho},

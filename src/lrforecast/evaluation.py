@@ -10,7 +10,7 @@ import numpy as np
 from .core import TimeSeries, build_windows, center
 from .features import ModelBundle, origin_times
 from .objective import Loss, _elementwise_penalty, inconsistency
-from .solver import FitOptions, fit_auto_rank, lambda_max
+from .solver import FitOptions, LowRankForecaster, fit_auto_rank, lambda_max
 
 # the sweep CSV's headings: SweepRow's leading fields in order, lam as "lambda"
 SWEEP_CSV_COLUMNS = (
@@ -55,8 +55,10 @@ def evaluate_forecasts(
     )
 
 
-def evaluate(model, series: TimeSeries | np.ndarray, loss: Loss = Loss()) -> EvalResult:
-    """Windowed forecast metrics of a fitted model or ModelBundle on a series.
+def evaluate(
+    model: LowRankForecaster | ModelBundle, series: TimeSeries | np.ndarray, loss: Loss = Loss()
+) -> EvalResult:
+    """Windowed forecast metrics of a model (fitted or a baseline) or ModelBundle on a series.
 
     The series is de-trended and centered by ModelBundle.center, windowed
     with the model's M and H, forecast with the aux term at each window's

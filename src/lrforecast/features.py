@@ -233,8 +233,8 @@ def latent_ar_fit(Z: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, np.nd
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 2:
         raise ValueError("need a T x r state sequence with T >= 2")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+    if not 0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     X, Y = Z[:-1], Z[1:]
     B = _ridge_solve(X, Y, jitter, "state regression is singular; pass jitter > 0")
     resid = Y - X @ B

@@ -57,9 +57,8 @@ def load_json(path: str):
 # ---------------------------------------------------------------- series CSV
 
 
-def write_series_csv(path: str, series: TimeSeries, include_t: bool = True) -> None:
-    t = range(series.t0, series.t0 + series.T) if include_t else None
-    _write_csv(path, series.column_names(), series.values, t)
+def write_series_csv(path: str, series: TimeSeries) -> None:
+    _write_csv(path, series.column_names(), series.values, range(series.t0, series.t0 + series.T))
 
 
 def _write_csv(
@@ -173,17 +172,14 @@ def _raise_first_error(
                 )
 
 
-def write_matrix_csv(
-    path: str, values: np.ndarray, names: list[str], t_index: np.ndarray | None = None
-) -> None:
+def write_matrix_csv(path: str, values: np.ndarray, names: list[str], t_index: np.ndarray) -> None:
     """Generic tidy CSV for forecasts / latent series / true states."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if len(names) != values.shape[1]:
         raise ValueError("one name per column required")
-    if t_index is not None:
-        t_index = np.asarray(t_index).tolist()
-        if len(t_index) != values.shape[0]:
-            raise ValueError("one t index per row required")
+    t_index = np.asarray(t_index).tolist()
+    if len(t_index) != values.shape[0]:
+        raise ValueError("one t index per row required")
     _write_csv(path, names, values, t_index)
 
 

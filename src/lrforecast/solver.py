@@ -169,9 +169,10 @@ class LowRankForecaster:
         )
         n, mn, hn = self.n, self.M * self.n, self.H * self.n
         if min(n, self.M, self.H) < 1 or self.lam < 0 or self.kappa < 0:
-            raise ValueError(f"model has out-of-range scalars: n={n}, M={self.M}, "
-                             f"H={self.H}, lambda={self.lam}, kappa={self.kappa}")
-        if self.V.size == 0:
+            raise ValueError(f"model has out-of-range scalars (n, M, H must be >= 1, lambda "
+                             f"and kappa >= 0): n={n}, M={self.M}, H={self.H}, "
+                             f"lambda={self.lam}, kappa={self.kappa}")
+        if self.V.shape == (0,):
             self.V = self.V.reshape(0, hn)
         if self.U.ndim != 2 or self.U.shape[0] != mn or self.V.shape != (self.U.shape[1], hn):
             raise ValueError(f"factor shapes {self.U.shape} x {self.V.shape} do not match "

@@ -413,8 +413,8 @@ def test_c6_baseline_cross_agreement():
         )
         _, _, ss = ss_forecaster(model, M, H)
         cm = cond_mean_forecaster(ss_autocov(model, M + H - 1), M, H)
-        ok_ss &= _rel(ss.theta, cm.theta) <= 1e-6
-        sv = np.linalg.svd(ss.theta, compute_uv=False)
+        ok_ss &= _rel(ss.theta(), cm.theta()) <= 1e-6
+        sv = np.linalg.svd(ss.theta(), compute_uv=False)
         if sv.size > r:
             ok_rank &= bool(np.all(sv[r:] <= 1e-8 * sv[0]))
         # iterated AR forecasts vs the conditional mean of the same process
@@ -428,14 +428,14 @@ def test_c6_baseline_cross_agreement():
         padded = A_list + [np.zeros((n2, n2))] * (M2 - p)
         ar = ar_iterated_forecaster(padded, M2, H2)
         cm2 = cond_mean_forecaster(ss_autocov(comp, M2 + H2 - 1), M2, H2)
-        ok_ar &= _rel(ar.theta, cm2.theta) <= 1e-8
+        ok_ar &= _rel(ar.theta(), cm2.theta()) <= 1e-8
         # ridge at weight zero vs the empirical-moment least-squares fit
         M3 = int(rng.integers(1, 13))
         H3 = int(rng.integers(1, 4))
         N3 = M3 + 15 + int(rng.integers(0, 20))
         x = rng.normal(size=(N3 + M3 + H3 - 1, 1))
         data = build_windows(x, M3, H3)
-        ok_ridge &= _rel(ridge_fit(data, 0.0).theta, empirical_forecaster(data).theta) <= 1e-10
+        ok_ridge &= _rel(ridge_fit(data, 0.0).theta(), empirical_forecaster(data).theta()) <= 1e-10
     elapsed = time.perf_counter() - t0
     ok = ok_ss and ok_rank and ok_ar and ok_ridge and elapsed < 60
     _verdict(6, "baseline forecasters cross-agree (smoother/cond-mean, rank, AR, ridge-0/empirical)", ok)
@@ -475,9 +475,9 @@ def study():
         draw = build_windows(train, M, H)
         dte = build_windows(test, M, H)
         oracle = cond_mean_forecaster(ss_autocov(model, M + H - 1), M, H)
-        o = evaluate_forecasts(dte.P @ oracle.theta, dte.F, spec.n, loss).loss
+        o = evaluate_forecasts(dte.P @ oracle.theta(), dte.F, spec.n, loss).loss
         emp = empirical_forecaster(draw)
-        e = evaluate_forecasts(dte.P @ emp.theta, dte.F, spec.n, loss).loss
+        e = evaluate_forecasts(dte.P @ emp.theta(), dte.F, spec.n, loss).loss
         z = evaluate_forecasts(np.zeros_like(dte.F), dte.F, spec.n, loss).loss
         best = table.best()
         chosen, _ = fit_auto_rank(draw, best.lam, 0.0, loss, opts=opts)

@@ -15,7 +15,7 @@ from scipy.signal import lfilter
 
 from lrforecast import (
     AutocovSet,
-    FullForecaster,
+    Loss,
     NumericalError,
     StateSpaceModel,
     TimeSeries,
@@ -27,6 +27,7 @@ from lrforecast import (
     empirical_autocov,
     empirical_forecaster,
     inconsistency,
+    latent_ar_fit,
     loss_value,
     mean_forecaster,
     ridge_fit,
@@ -95,36 +96,42 @@ def companion_model(A_list, W):
 # ----------------------------------------------------------------- types
 
 
-def test_full_forecaster_validation():
+def test_to_low_rank_validation():
     theta = np.zeros((4, 2))
-    f = FullForecaster(theta=theta, n=1, M=4, H=2)
+    f = to_low_rank(theta, n=1, M=4, H=2)
     assert np.array_equal(f.means, np.zeros(1))
-    with pytest.raises(ValueError):
-        FullForecaster(theta=theta, n=1, M=3, H=2)
-    with pytest.raises(ValueError):
-        FullForecaster(theta=theta, n=1, M=4, H=2, means=np.zeros(3))
-    with pytest.raises(ValueError):
+    assert (f.lam, f.kappa, f.loss) == (0.0, 0.0, Loss())
+    with pytest.raises(ValueError, match="do not match"):
+        to_low_rank(theta, n=1, M=3, H=2)
+    with pytest.raises(ValueError, match="do not match"):
+        to_low_rank(np.zeros((4, 3)), n=1, M=4, H=2)  # a rank-0 theta of the wrong width
+    with pytest.raises(ValueError, match="wrong lengths"):
+        to_low_rank(theta, n=1, M=4, H=2, means=np.zeros(3))
+    with pytest.raises(ValueError, match="past window has length 5"):
         f.forecast(np.zeros(5))
     for n, M, H in ((1, 0, 2), (0, 1, 1)):
         with pytest.raises(ValueError, match="must be >= 1"):
-            FullForecaster(theta=np.zeros((M * n, H * n)), n=n, M=M, H=H)
+            to_low_rank(np.zeros((M * n, H * n)), n=n, M=M, H=H)
 
 
 @pytest.mark.parametrize("field, value, match", [
     ("theta", np.full((6, 4), np.nan), "theta has a non-finite value"),
     ("means", np.array([np.inf, 0.0]), "means has a non-finite value"),
-    ("means", np.zeros((2, 1)), r"means has shape \(2, 1\)"),
-    ("means", [[np.inf], [0.0]], r"means has shape \(2, 1\)"),
+    ("means", np.zeros((2, 1)), "wrong lengths"),
+    ("means", [[np.inf], [0.0]], "wrong lengths"),
+    ("theta", np.full((6, 4), np.inf), "theta has a non-finite value"),
 ])
-def test_full_forecaster_rejects_what_low_rank_rejects(field, value, match):
+def test_to_low_rank_rejects_non_finite_or_misshapen(field, value, match):
+    # a non-finite theta is refused before the SVD, which would not converge
     args = {"theta": np.zeros((6, 4)), "means": np.zeros(2), field: value}
     with pytest.raises(ValueError, match=match):
-        FullForecaster(**args, n=2, M=3, H=2)
+        to_low_rank(**args, n=2, M=3, H=2)
 
 
-def test_full_forecaster_applies_theta(rng):
+def test_to_low_rank_applies_theta(rng):
     theta = rng.normal(size=(6, 4))
-    f = FullForecaster(theta=theta, n=2, M=3, H=2)
+    f = to_low_rank(theta, n=2, M=3, H=2)
+    assert np.allclose(f.theta(), theta)
     p = rng.normal(size=6)
     assert np.allclose(f.forecast(p), theta.T @ p)
     P = rng.normal(size=(5, 6))
@@ -167,12 +174,12 @@ def test_autocov_set_validation():
 def test_ridge_identity_instance():
     data = WindowedDataset(P=np.eye(2), F=np.eye(2), n=1, M=2, H=2)
     f = ridge_fit(data, 0.0)
-    assert np.allclose(f.theta, np.eye(2), atol=1e-12)
+    assert np.allclose(f.theta(), np.eye(2), atol=1e-12)
 
 
 def test_ridge_shrinks_with_lambda(rng):
     data = rand_windows(rng)
-    norms = [np.linalg.norm(ridge_fit(data, lam).theta) for lam in (0.0, 0.1, 1.0, 10.0, 100.0)]
+    norms = [np.linalg.norm(ridge_fit(data, lam).theta()) for lam in (0.0, 0.1, 1.0, 10.0, 100.0)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
@@ -181,13 +188,13 @@ def test_ridge_zero_matches_autocov_identity(rng):
     data = rand_windows(rng, N=40)
     spp, sfp = empirical_autocov(data)
     theta = np.linalg.solve(spp, sfp.T)
-    assert np.allclose(ridge_fit(data, 0.0).theta, theta, atol=1e-8)
+    assert np.allclose(ridge_fit(data, 0.0).theta(), theta, atol=1e-8)
 
 
 def test_ridge_normal_equation_residual(rng):
     data = rand_windows(rng, N=25)
     lam = 0.3
-    theta = ridge_fit(data, lam).theta
+    theta = ridge_fit(data, lam).theta()
     lhs = (data.P.T @ data.P + data.N * lam * np.eye(data.P.shape[1])) @ theta
     rhs = data.P.T @ data.F
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
@@ -238,9 +245,9 @@ def test_empirical_autocov_zero_and_psd(rng):
 
 def test_empirical_forecaster_matches_ridge_and_pinv(rng):
     data = rand_windows(rng, N=40)
-    assert np.allclose(empirical_forecaster(data).theta, ridge_fit(data, 0.0).theta, atol=1e-9)
+    assert np.allclose(empirical_forecaster(data).theta(), ridge_fit(data, 0.0).theta(), atol=1e-9)
     thin = rand_windows(rng, N=3, n=2, M=3, H=1)
-    theta = empirical_forecaster(thin).theta
+    theta = empirical_forecaster(thin).theta()
     assert np.allclose(theta, np.linalg.pinv(thin.P) @ thin.F, atol=1e-9)
 
 
@@ -250,14 +257,14 @@ def test_empirical_forecaster_matches_ridge_and_pinv(rng):
 def test_cond_mean_white_noise_is_zero():
     acov = AutocovSet(sigmas=[np.eye(2)] + [np.zeros((2, 2))] * 4)
     f = cond_mean_forecaster(acov, M=2, H=3)
-    assert np.allclose(f.theta, 0.0, atol=1e-14)
+    assert np.allclose(f.theta(), 0.0, atol=1e-14)
 
 
 def test_cond_mean_scalar_ar1():
     a, s2 = 0.6, 2.0
     acov = AutocovSet(sigmas=[np.array([[s2]]), np.array([[a * s2]])])
     f = cond_mean_forecaster(acov, M=1, H=1)
-    assert np.isclose(f.theta[0, 0], a)
+    assert np.isclose(f.theta()[0, 0], a)
 
 
 def test_cond_mean_matches_literal_assembly(rng):
@@ -266,14 +273,14 @@ def test_cond_mean_matches_literal_assembly(rng):
     acov = ss_autocov(model, M + H - 1)
     f = cond_mean_forecaster(acov, M, H)
     oracle = toeplitz_theta_oracle(acov.sigmas, M, H)
-    assert np.allclose(f.theta, oracle, atol=1e-10)
+    assert np.allclose(f.theta(), oracle, atol=1e-10)
 
 
 def test_cond_mean_rank_bounded_by_state_dim(rng):
     model = rand_ss(rng, r=2, n=3)
     M, H = 4, 3
     f = cond_mean_forecaster(ss_autocov(model, M + H - 1), M, H)
-    s = np.linalg.svd(f.theta, compute_uv=False)
+    s = np.linalg.svd(f.theta(), compute_uv=False)
     assert int(np.sum(s > 1e-8 * s[0])) <= model.r
 
 
@@ -281,10 +288,22 @@ def test_cond_mean_jitter_invariance(rng):
     model = rand_ss(rng)
     M, H = 2, 2
     acov = ss_autocov(model, M + H - 1)
-    base = cond_mean_forecaster(acov, M, H).theta
+    base = cond_mean_forecaster(acov, M, H).theta()
     for jitter in (1e-12, 1e-9, 1e-6):
-        moved = cond_mean_forecaster(acov, M, H, jitter=jitter).theta
+        moved = cond_mean_forecaster(acov, M, H, jitter=jitter).theta()
         assert np.linalg.norm(moved - base) <= 1e-4 * np.linalg.norm(base)
+
+
+@pytest.mark.parametrize("value", [-0.01, np.nan, np.inf])
+@pytest.mark.parametrize("name, fit", [
+    ("lam", lambda v: ridge_fit(build_windows(np.arange(12.0).reshape(6, 2), 2, 1), v)),
+    ("lam", lambda v: ar_fit(np.arange(12.0).reshape(6, 2), 2, lam=v)),
+    ("jitter", lambda v: cond_mean_forecaster(AutocovSet([np.eye(2)] * 3), 2, 1, jitter=v)),
+    ("jitter", lambda v: latent_ar_fit(np.arange(12.0).reshape(6, 2), jitter=v)),
+], ids=["ridge_fit", "ar_fit", "cond_mean_forecaster", "latent_ar_fit"])
+def test_penalties_must_be_finite_and_nonnegative(name, fit, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+        fit(value)
 
 
 def test_cond_mean_errors():
@@ -361,12 +380,12 @@ def test_ar_fit_errors():
 
 def test_ar_iterated_scalar_powers():
     f = ar_iterated_forecaster([np.array([[0.5]])], M=1, H=3)
-    assert np.allclose(f.theta, [[0.5, 0.25, 0.125]])
+    assert np.allclose(f.theta(), [[0.5, 0.25, 0.125]])
 
 
 def test_ar_iterated_zero():
     f = ar_iterated_forecaster([np.zeros((2, 2))] * 2, M=2, H=2)
-    assert not f.theta.any()
+    assert not f.theta().any()
 
 
 def test_ar_iterated_first_block_layout():
@@ -374,8 +393,8 @@ def test_ar_iterated_first_block_layout():
     A1 = np.array([[0.4, 0.2], [-0.1, 0.3]])
     A2 = np.array([[0.1, -0.2], [0.2, 0.05]])
     f = ar_iterated_forecaster([A1, A2], M=2, H=1)
-    assert np.allclose(f.theta[:2], A2.T)
-    assert np.allclose(f.theta[2:], A1.T)
+    assert np.allclose(f.theta()[:2], A2.T)
+    assert np.allclose(f.theta()[2:], A1.T)
 
 
 @pytest.mark.parametrize("case", ["scalar", "vector"])
@@ -394,7 +413,7 @@ def test_ar_iterated_matches_cond_mean(case):
     acov = ss_autocov(model, M + H - 1)
     iterated = ar_iterated_forecaster(A_list, M, H)
     exact = cond_mean_forecaster(acov, M, H)
-    assert np.allclose(iterated.theta, exact.theta, atol=1e-8)
+    assert np.allclose(iterated.theta(), exact.theta(), atol=1e-8)
 
 
 def test_ar_iterated_validation():
@@ -532,8 +551,9 @@ def test_ss_forecaster_reads_state_through_invertible_C(rng):
 def test_ss_forecaster_rank_at_most_r(rng):
     model = rand_ss(rng, r=2, n=3)
     _, _, f = ss_forecaster(model, M=4, H=3)
-    s = np.linalg.svd(f.theta, compute_uv=False)
+    s = np.linalg.svd(f.theta(), compute_uv=False)
     assert int(np.sum(s > 1e-8 * s[0])) <= model.r
+    assert f.rank <= model.r  # built from K and the decoder stack, with no cut
 
 
 def test_ss_forecaster_equals_cond_mean_many_models():
@@ -545,8 +565,8 @@ def test_ss_forecaster_equals_cond_mean_many_models():
         M, H = 2 + seed % 2, 1 + seed % 3
         _, _, fss = ss_forecaster(model, M, H)
         fcm = cond_mean_forecaster(ss_autocov(model, M + H - 1), M, H)
-        err = np.linalg.norm(fss.theta - fcm.theta)
-        assert err <= 1e-6 * max(1.0, np.linalg.norm(fcm.theta))
+        err = np.linalg.norm(fss.theta() - fcm.theta())
+        assert err <= 1e-6 * max(1.0, np.linalg.norm(fcm.theta()))
 
 
 def test_ss_forecaster_diffuse_variant(rng):
@@ -559,7 +579,7 @@ def test_ss_forecaster_diffuse_variant(rng):
     model2 = rand_ss(rng)
     _, _, diffuse = ss_forecaster(model2, M=3, H=2, include_initial_prior=False)
     _, _, prior = ss_forecaster(model2, M=3, H=2, include_initial_prior=True)
-    assert not np.allclose(diffuse.theta, prior.theta)
+    assert not np.allclose(diffuse.theta(), prior.theta())
 
 
 def test_ss_forecaster_diffuse_window_must_observe_the_state():
@@ -575,7 +595,7 @@ def test_ss_forecaster_diffuse_window_must_observe_the_state():
         K, _, f = ss_forecaster(model, M, H=2)
         assert K.shape == (model.r, M * model.n) and np.all(np.isfinite(K))
         fcm = cond_mean_forecaster(ss_autocov(model, M + 1), M, 2)
-        assert np.allclose(f.theta, fcm.theta, atol=1e-8)
+        assert np.allclose(f.theta(), fcm.theta(), atol=1e-8)
 
 
 def test_ss_forecaster_errors(rng):
@@ -607,7 +627,7 @@ def test_mean_forecaster_stores_training_mean(rng):
     x = np.full((20, 2), 3.0)
     f = mean_forecaster(x, M=2, H=2)
     assert np.allclose(f.means, [3.0, 3.0])
-    assert not f.theta.any()
+    assert not f.theta().any()
     series = TimeSeries(rng.normal(size=(15, 2)))
     f2 = mean_forecaster(series, M=3, H=1)
     assert np.allclose(f2.means, series.values.mean(axis=0))
@@ -615,31 +635,31 @@ def test_mean_forecaster_stores_training_mean(rng):
 
 def test_to_low_rank_truncates(rng):
     data = rand_windows(rng, N=40)
-    full = ridge_fit(data, 0.1)
-    lr = to_low_rank(full, rank=2)
+    theta = ridge_fit(data, 0.1).theta()
+    lr = to_low_rank(theta, data.n, data.M, data.H, rank=2)
     assert lr.rank == 2
-    U, s, Vt = np.linalg.svd(full.theta, full_matrices=False)
+    U, s, Vt = np.linalg.svd(theta, full_matrices=False)
     best2 = (U[:, :2] * s[:2]) @ Vt[:2]
     assert np.allclose(lr.theta(), best2, atol=1e-10)
     assert np.allclose(lr.singular_values, s[:2])
     with pytest.raises(ValueError):
-        to_low_rank(full, rank=99)
-    everything = to_low_rank(full, rank=min(full.theta.shape))
-    assert np.allclose(everything.theta(), full.theta, atol=1e-10)
+        to_low_rank(theta, data.n, data.M, data.H, rank=99)
+    everything = to_low_rank(theta, data.n, data.M, data.H, rank=min(theta.shape))
+    assert np.allclose(everything.theta(), theta, atol=1e-10)
 
 
 def test_to_low_rank_is_reduce_rank_cut_to_rank(rng):
-    full = ridge_fit(rand_windows(rng, N=40), 0.1)
-    Ur, Vr, (_, sig, _) = reduce_rank(full.theta, np.eye(full.theta.shape[1]))
-    for rank in range(min(full.theta.shape) + 1):
-        lr = to_low_rank(full, rank)
+    theta = ridge_fit(rand_windows(rng, N=40), 0.1).theta()
+    Ur, Vr, (_, sig, _) = reduce_rank(theta, np.eye(theta.shape[1]))
+    for rank in range(min(theta.shape) + 1):
+        lr = to_low_rank(theta, 2, 3, 2, rank=rank)
         assert lr.rank == rank
         assert np.allclose(lr.theta(), Ur[:, :rank] @ Vr[:rank], rtol=0, atol=1e-12)
         assert np.allclose(lr.singular_values, sig[:rank], rtol=1e-12, atol=0)
         # balanced: U^T U = V V^T = diag(singular values)
         assert np.allclose(lr.U.T @ lr.U, np.diag(lr.singular_values), atol=1e-12)
         assert np.allclose(lr.V @ lr.V.T, np.diag(lr.singular_values), atol=1e-12)
-    assert to_low_rank(FullForecaster(np.zeros((6, 4)), n=2, M=3, H=2), 2).rank == 0
+    assert to_low_rank(np.zeros((6, 4)), 2, 3, 2, rank=2).rank == 0
 
 
 def test_to_low_rank_drops_singular_values_at_rank_tol(rng):
@@ -647,7 +667,7 @@ def test_to_low_rank_drops_singular_values_at_rank_tol(rng):
     Qh, _ = np.linalg.qr(rng.normal(size=(4, 3)))
     for tiny, rank in ((0.5 * RANK_TOL, 2), (2 * RANK_TOL, 3)):
         theta = (Qm * np.array([1.0, 0.5, tiny])) @ Qh.T
-        lr = to_low_rank(FullForecaster(theta, n=2, M=3, H=2), 3)
+        lr = to_low_rank(theta, 2, 3, 2, rank=3)
         assert lr.rank == rank, tiny
 
 

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import DELETE, edited
+from lrforecast.baselines import cond_mean_forecaster, ss_autocov
 from lrforecast.cli import main
-from lrforecast.core import build_windows, center
+from lrforecast.core import TimeSeries, build_windows, center
 from lrforecast.evaluation import EvalResult, evaluate
 from lrforecast.features import detrend_apply, retrend, time_features
 from lrforecast.objective import Loss
@@ -27,7 +28,9 @@ from lrforecast.serialize import (
     load_model_json,
     read_series_csv,
     read_sweep_csv,
+    save_model_json,
     trend_from_json,
+    write_series_csv,
 )
 from lrforecast.simgen import SimSpec, gen_model, sample
 from lrforecast.solver import FitReport, lambda_max
@@ -516,6 +519,50 @@ def test_latent_rejects_rank_zero(small, tmp_path, capsys):
         "--out", tmp_path / "z.csv", "--ar-out", tmp_path / "ar.json",
     ) == 2
     assert "rank 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jitter, constant, code", [
+    ("nan", False, 2),
+    ("inf", False, 2),
+    ("0", True, 3),  # states of a series at the model means are all zero: singular
+])
+def test_failed_latent_writes_nothing(sim, fitted, tmp_path, capsys, jitter, constant, code):
+    series = sim / "train.csv"
+    if constant:
+        model = load_model_json(str(fitted["model"])).model
+        series = tmp_path / "flat.csv"
+        write_series_csv(str(series), TimeSeries(np.tile(model.means, (10, 1))))
+    out, ar = tmp_path / "latent.csv", tmp_path / "ar.json"
+    assert run(
+        "latent", "--model", fitted["model"], "--input", series,
+        "--out", out, "--ar-out", ar, "--jitter", jitter,
+    ) == code
+    assert "jitter" in capsys.readouterr().err
+    assert not out.exists() and not ar.exists()
+
+
+def test_baseline_runs_through_the_model_document_and_cli(sim, tmp_path):
+    # the conditional-mean oracle of the state-space model the sim fixture samples
+    M, H = 4, 3
+    oracle = cond_mean_forecaster(ss_autocov(gen_model(SimSpec(n=3, r=2, seed=3)), M + H - 1), M, H)
+    path = tmp_path / "oracle.json"
+    save_model_json(str(path), oracle)
+    back = load_model_json(str(path)).model
+    assert back.rank == 2
+    for name in ("U", "V", "singular_values", "means"):
+        assert np.array_equal(getattr(back, name), getattr(oracle, name))
+    assert (back.n, back.M, back.H, back.lam, back.kappa, back.loss) == (3, M, H, 0.0, 0.0, Loss())
+    metrics = tmp_path / "metrics.json"
+    assert run("evaluate", "--model", path, "--input", sim / "test.csv", "--out", metrics) == 0
+    want = evaluate(oracle, read_series_csv(str(sim / "test.csv"))).loss
+    assert math.isclose(load_json(str(metrics))["loss"], want, rel_tol=1e-12)
+    latent = tmp_path / "latent.csv"
+    assert run(
+        "latent", "--model", path, "--input", sim / "test.csv",
+        "--out", latent, "--ar-out", tmp_path / "ar.json",
+    ) == 0
+    states = read_series_csv(str(latent))
+    assert states.names == ("z1", "z2") and states.values.shape == (40 - M + 1, 2)
 
 
 # ------------------------------------------------------------- config / sweep

@@ -83,7 +83,7 @@ def test_evaluate_matches_manual_computation(rng):
     res = evaluate(model, x[40:])
     centered, _ = center(x[40:], model.means)
     held = build_windows(centered, 4, 2)
-    manual_loss = loss_value(held.P @ model.theta, held.F)
+    manual_loss = loss_value(held.P @ model.theta(), held.F)
     assert np.isclose(res.loss, manual_loss)
     assert res.n_windows == held.N
     # a bare model is the bundle with no attachments, bit for bit

@@ -39,6 +39,7 @@ from lrforecast.serialize import (
     ss_to_json,
     trend_from_json,
     trend_to_json,
+    _write_csv,
     write_matrix_csv,
     write_series_csv,
     write_sweep_csv,
@@ -114,7 +115,7 @@ def test_series_csv_round_trip_is_exact(tmp_path):
 
 def test_series_csv_default_names_and_origin(tmp_path):
     path = str(tmp_path / "x.csv")
-    write_series_csv(path, awkward_series(), include_t=False)
+    reference_series_csv(path, awkward_series(), include_t=False)
     back = read_series_csv(path)
     assert back.t0 == 1
     assert back.column_names() == ["x1", "x2"]
@@ -182,7 +183,7 @@ def test_csv_readers_accept_utf8_bom(tmp_path):
 
 
 def reference_series_csv(path, series, include_t=True):
-    # the per-cell writer both CSV writers must reproduce byte for byte
+    # the per-cell writer every CSV writer must reproduce byte for byte
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         names = series.column_names()
@@ -217,10 +218,13 @@ def test_csv_writers_match_per_cell_reference(tmp_path, shape, t0, names, includ
     series = TimeSeries(AWKWARD[: shape[0] * shape[1]].reshape(shape), names=names, t0=t0)
     want, got = str(tmp_path / "want.csv"), str(tmp_path / "got.csv")
     reference_series_csv(want, series, include_t)
-    write_series_csv(got, series, include_t)
-    assert read_bytes(got) == read_bytes(want)
-    t_index = np.arange(t0, t0 + series.T) if include_t else None
-    write_matrix_csv(got, series.values, series.column_names(), t_index=t_index)
+    if include_t:
+        write_series_csv(got, series)
+        assert read_bytes(got) == read_bytes(want)
+        t_index = np.arange(t0, t0 + series.T)
+        write_matrix_csv(got, series.values, series.column_names(), t_index=t_index)
+    else:  # the t-less body the sweep CSV is written with
+        _write_csv(got, series.column_names(), series.values)
     assert read_bytes(got) == read_bytes(want)
 
 
@@ -237,7 +241,11 @@ def test_series_csv_round_trip_property(tmp_path_factory, data, T, n, t0, includ
     name = st.text("ab,\"' \u00e9\n", min_size=1).filter(lambda s: s == s.strip() != "t")
     names = tuple(data.draw(st.lists(name, min_size=n, max_size=n)))
     path = str(tmp_path_factory.mktemp("csv") / "x.csv")
-    write_series_csv(path, TimeSeries(values, names=names, t0=t0), include_t)
+    series = TimeSeries(values, names=names, t0=t0)
+    if include_t:
+        write_series_csv(path, series)
+    else:
+        reference_series_csv(path, series, include_t=False)
     back = read_series_csv(path)
     assert back.values.tobytes() == values.tobytes()
     assert back.names == names
@@ -260,11 +268,10 @@ def test_matrix_csv_round_trips_through_series_reader(tmp_path):
 
 def test_matrix_csv_without_index_and_name_check(tmp_path):
     path = str(tmp_path / "m.csv")
-    write_matrix_csv(path, np.eye(2), ["a", "b"])
-    with open(path, encoding="utf-8") as fh:
-        assert fh.readline().strip() == "a,b"
+    with pytest.raises(TypeError, match="t_index"):
+        write_matrix_csv(path, np.eye(2), ["a", "b"])  # every program CSV has a t column
     with pytest.raises(ValueError, match="one name per column"):
-        write_matrix_csv(path, np.eye(2), ["a"])
+        write_matrix_csv(path, np.eye(2), ["a"], t_index=[1, 2])
 
 
 # ----------------------------------------------------------------- model JSON
