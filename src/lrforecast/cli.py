@@ -202,6 +202,8 @@ def cmd_fit(args) -> int:
     trend = trend_from_json(load_json(args.trend)) if args.trend else None
     if trend is not None and trend.features is None:  # evaluate/forecast re-apply it
         raise ValueError("--trend needs a trend fitted on features, not on --aux rows")
+    if trend is not None:
+        trend.check_width(series.n)
     phi = None
     if spec is not None:
         aux = time_features(origin_times(series, M, data.N), spec)

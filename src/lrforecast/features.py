@@ -109,6 +109,11 @@ class TrendModel:
         if self.lam < 0:
             raise ValueError(f"trend lam must be nonnegative, got {self.lam}")
 
+    def check_width(self, n: int) -> None:
+        """Refuses n series unless S has one row each, which broadcasting would not catch."""
+        if self.S.shape[0] != n:
+            raise ValueError(f"trend was fitted on {self.S.shape[0]} series, not {n}")
+
 
 def _aux_rows(series: TimeSeries, trend_or_spec, aux: np.ndarray | None) -> np.ndarray:
     spec = trend_or_spec.features if isinstance(trend_or_spec, TrendModel) else trend_or_spec
@@ -151,6 +156,7 @@ def detrend_apply(
     """Residual series x_t - S a_t."""
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)
+    trend.check_width(series.n)
     A = _aux_rows(series, trend, aux)
     return TimeSeries(
         values=series.values - A @ trend.S.T, names=series.names, t0=series.t0
@@ -170,6 +176,7 @@ def retrend(
     n = trend.S.shape[0]
     flat = forecast_values.ndim == 1
     rows = forecast_values.reshape(-1, n) if flat else forecast_values
+    trend.check_width(rows.shape[1])
     if aux_future.shape[0] != rows.shape[0]:
         raise ValueError("need one aux row per forecast row")
     out = rows + aux_future @ trend.S.T
@@ -185,9 +192,10 @@ def origin_times(series: TimeSeries, M: int, count: int) -> np.ndarray:
 class ModelBundle:
     """A fitted forecaster with the trend and aux terms that apply it to a series.
 
-    The trend is removed before centering (retrend adds it back to
-    forecasts); phi, finite p x Hn, weighs the aux_features rows at each
-    forecast origin.  A bare forecaster is the bundle with no attachments.
+    The trend, one S row per series, is removed before centering (retrend
+    adds it back to forecasts); phi, finite p x Hn, weighs the aux_features
+    rows at each forecast origin, so p is aux_features.columns when both are
+    given.  A bare forecaster is the bundle with no attachments.
     """
 
     model: LowRankForecaster
@@ -203,6 +211,11 @@ class ModelBundle:
                 raise ValueError(f"aux Phi has shape {self.phi.shape}, want p x {hn}")
             if not np.isfinite(self.phi).all():
                 raise ValueError("model field aux Phi has a non-finite value")
+            if self.aux_features is not None and self.phi.shape[0] != self.aux_features.columns:
+                raise ValueError(f"aux Phi has {self.phi.shape[0]} rows, but the feature spec "
+                                 f"has {self.aux_features.columns} columns")
+        if self.trend is not None:
+            self.trend.check_width(self.model.n)
 
     def center(self, series: TimeSeries | np.ndarray) -> TimeSeries:
         """De-trends with the stored trend, if any, then centers with the model's means."""

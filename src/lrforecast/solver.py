@@ -41,7 +41,6 @@ from scipy.optimize import minimize
 from .core import WindowedDataset, _is_number
 from .objective import (
     L1, SQUARED_L2, Loss, _check_weights, _loss_value_grad, hankel_project, huber, loss_grad,
-    loss_value,
 )
 
 # a fit is converged, certified optimal, when max(r1, r2, r3) <= CERT_TOL * lam
@@ -105,14 +104,15 @@ class FitReport:
     optimality_residuals: [P, aux] for a joint aux fit, Phi's term for ridge.
 
     converged means the KKT certificate: optimality_residuals is not None
-    and max(r1, r2, r3) <= CERT_TOL * lam, on every engine and at the zero
-    exits.  An l1 fit has no certificate and reads False, as does a lam = 0
-    fit, whose scale CERT_TOL * lam is 0.  Where a fit stops is the
-    engine's (see _gram_fit, _fit_arrays).  iterations counts one per
-    Gram-path block solve, two per sweep, or the L-BFGS iterations.
-    objective_trace holds the start and one entry per sweep.  An l1 trace
-    holds the objective of _smooth_l1's smoothing, which lies within
-    Hn d / 2 below the l1 objective.
+    and max(r1, r2, r3) <= CERT_TOL * lam, on every engine; a fit that
+    meets it at its zero start (see _fit_arrays) is theta = 0, 0 sweeps.
+    An l1 fit has no certificate and reads False, as does a lam = 0 fit,
+    whose scale CERT_TOL * lam is 0.  Where a fit stops is the engine's
+    (see _gram_fit, _fit_arrays).  iterations counts one per Gram-path
+    block solve, two per sweep, or the L-BFGS iterations, the zero start's
+    included.  objective_trace holds the start and one entry per sweep.
+    An l1 trace holds the objective of _smooth_l1's smoothing, which lies
+    within Hn d / 2 below the l1 objective.
 
     The CLI's report.json holds every field, wall_time as wall_time_s.
     """
@@ -343,9 +343,11 @@ def _stalled(trace: list[float]) -> bool:
 def _kkt_residuals(G, U_theta, V_theta, lam, gPhi=None, Phi=None, r1_gate=math.inf):
     """optimality_residuals' (r1, r2, r3) at the smooth gradient G in theta.
 
-    A ridge block's gradient gPhi in Phi joins r2.  r1's SVD runs only once
-    max(r2, r3) <= r1_gate; r1 is inf otherwise.  G and U_theta may share
-    an orthonormal change of row basis, such as the Gram path's.
+    A ridge block's gradient gPhi in Phi joins r2.  r1's spectral norm runs
+    only once max(r2, r3) <= r1_gate and, for a finite gate, the lower
+    bound ||A^T u|| / ||u|| on ||A||_2 (A = G + lam U_theta V_theta^T, u its
+    largest column) is at most lam + r1_gate; r1 is inf otherwise, and NaN
+    fails.  G and U_theta may share an orthonormal change of row basis.
     """
     r2 = float(np.linalg.norm(U_theta.T @ G + lam * V_theta.T))
     if gPhi is not None:
@@ -353,7 +355,10 @@ def _kkt_residuals(G, U_theta, V_theta, lam, gPhi=None, Phi=None, r1_gate=math.i
     r3 = float(np.linalg.norm(G @ V_theta + lam * U_theta))
     r1 = math.inf
     if max(r2, r3) <= r1_gate:
-        r1 = max(0.0, _spectral_norm(G + lam * (U_theta @ V_theta.T)) - lam)
+        A = G + lam * (U_theta @ V_theta.T)
+        u = A[:, np.argmax((A * A).sum(axis=0))]
+        if r1_gate == math.inf or np.linalg.norm(A.T @ u) <= (lam + r1_gate) * np.linalg.norm(u):
+            r1 = max(_spectral_norm(A) - lam, 0.0)
     return r1, r2, r3
 
 
@@ -371,11 +376,13 @@ def _gram_fit(
     solves (b_j^2 Z^T D_a^2 Z + (N lam / 2) I) x_j = b_j^2 (Z^T D_a^2 F)_j,
     Z = [P U, R], for every column of [V; Phi] with one eigh; the U-step
     solves the Sylvester equation G U (V D_b^2 V^T) + (N lam / 2) U =
-    (C - G_PR Phi) D_b^2 V^T with G's eigenbasis and one k x k eigh.  After
+    (C - G_PR Phi) D_b^2 V^T with G's eigenbasis and one k x k eigh.
+    _kkt_residuals' certificate is taken from the smooth gradient
+    (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3, then the spectral-norm
+    r1 once those pass.  It is taken at the zero start (theta = 0, Phi0 =
+    solve(G_RR, C_R), (0, Hn) without R; the sweeps start from Phi0), after
     sweep 1, every CERT_EVERY sweeps after it (1, 6, 11, ... at 5) and
-    sweep max_outer, _kkt_residuals' certificate is taken from the smooth
-    gradient (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3, then the
-    spectral-norm r1 once those pass.  The fit stops on it, up to
+    sweep max_outer.  The fit stops on it, up to
     CERT_EVERY - 1 sweeps after the first sweep that would certify.  On
     the same sweeps the objective stall (_stalled, over the last sweep)
     ends the fit only when the width binds.  Returns _fit_arrays' tuple.
@@ -413,26 +420,19 @@ def _gram_fit(
         fit = float(((B * (K @ B - 2.0 * Cz)).sum(axis=0) * b2).sum()) + f2
         return fit / N + 0.5 * lam * (float((Ut * Ut).sum()) + float((B * B).sum()))
 
-    if p:
-        # theta = 0 is optimal, with Phi the ridge fit Phi0, exactly when the
-        # gradient in theta there is within lam in spectral norm
-        Phi0 = solve(GRR, CR)
-        if _spectral_norm((2.0 / N) * (GPR @ Phi0 - C) * b2) <= lam:
-            obj = objective(GRR, CR, Phi0, np.zeros((0, 0)))
-            return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], 0, 0, Phi0
-
-    def certificate(Ut, B):
-        # max of optimality_residuals' (r1, r2, r3), in G's eigenbasis, and the rank
-        V, Phi = B[:k], B[k:]
-        _, _, (Uth, sigma, Vth) = reduce_rank(Ut, V)
+    def certificate(Uth, sigma, Vth, Phi):
+        # max of optimality_residuals' (r1, r2, r3) at Uth diag(sigma) Vth^T, in G's eigenbasis
         theta = (Uth * sigma) @ Vth.T
-        Gt = g[:, None] * theta - C
-        gR = None
-        if p:
-            Gt += GPR @ Phi
-            gR = (2.0 / N) * (GPR.T @ theta + GRR @ Phi - CR) * b2
+        Gt = g[:, None] * theta - C + GPR @ Phi
         Gt *= (2.0 / N) * b2
-        return max(_kkt_residuals(Gt, Uth, Vth, lam, gR, Phi, r1_gate=tol)), sigma.size
+        gR = (2.0 / N) * (GPR.T @ theta + GRR @ Phi - CR) * b2
+        return max(_kkt_residuals(Gt, Uth, Vth, lam, gR, Phi, r1_gate=tol))
+
+    # the zero start: Phi alone at theta = 0, the fit if it certifies
+    Phi = solve(GRR, CR)
+    if certificate(np.zeros((mcols, 0)), np.zeros(0), np.zeros((hcols, 0)), Phi) <= tol:
+        obj = objective(GRR, CR, Phi, np.zeros((0, 0)))
+        return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], 0, 0, Phi
 
     def solve_u(B):
         V, Phi = B[:k], B[k:]
@@ -442,7 +442,7 @@ def _gram_fit(
         return ((rhs @ QA) / (g[:, None] * np.maximum(alpha, 0.0)[None, :] + c)) @ QA.T
 
     Ut = Q.T @ U
-    B = np.vstack([V, np.zeros((p, hcols))])
+    B = np.vstack([V, Phi])
     K, Cz = normal(Ut)
     obj = objective(K, Cz, B, Ut)
     if not np.isfinite(obj):
@@ -458,23 +458,16 @@ def _gram_fit(
             raise NumericalError(f"objective became non-finite after sweep {sweeps}")
         if (sweeps - 1) % CERT_EVERY and sweeps < opts.max_outer:
             continue
-        worst, rank = certificate(Ut, B)
-        converged = worst <= tol
-        if converged or rank == k < min(mcols, hcols) and _stalled(trace):
+        _, _, svd = reduce_rank(Ut, B[:k])
+        rank = svd[1].size
+        if certificate(*svd, B[k:]) <= tol or rank == k < min(mcols, hcols) and _stalled(trace):
             break
     return Q @ Ut, B[:k], trace, 2 * sweeps, sweeps, B[k:]
 
 
 def _fit_arrays(
-    P: np.ndarray,
-    F: np.ndarray,
-    n: int,
-    lam: float,
-    kappa: float,
-    loss: Loss,
-    W: np.ndarray | None,
-    opts: FitOptions,
-    R: np.ndarray | None = None,
+    P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
+    W: np.ndarray | None, opts: FitOptions, R: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
     """Fits the factored objective at width k. Returns raw factors.
 
@@ -484,15 +477,20 @@ def _fit_arrays(
     L-BFGS-B solve restarted from the last iterate, and the fit ends once
     a sweep lowers the objective by at most STALL_TOL relative (_stalled).
     l1 is swapped for _smooth_l1's smoothing at entry.  Both engines share
-    the validation, the initial factors and the zero exit above lambda_max.
+    the validation and the initial factors, and one zero rule, the zero
+    start: before sweep 1 the engine fits Phi alone at theta = 0 (_gram_fit
+    in closed form; here the k = 0 L-BFGS solve, when R has columns) and
+    takes the KKT certificate there.  If max(r1, r2, r3) <= CERT_TOL * lam,
+    theta = 0 with that Phi is the fit: 0 sweeps, trace [its objective];
+    without R, that is lam >= lambda_max / (1 + CERT_TOL).
 
     R (N x p, optional) adds regressors outside the factorization: the
     forecast becomes P U V + R Phi, and their coefficients Phi (p x Hn)
-    carry the ridge penalty (lam/2) ||Phi||_F^2.  Phi starts at zero; the
-    Gram path solves it jointly with V as one block B = [V; Phi] against
-    the design Z = [P U, R], and the L-BFGS path with U and V.  Returns
-    (U, V, trace, inner iterations, sweeps, Phi), with Phi of
-    shape (0, Hn) when R is omitted.
+    carry the ridge penalty (lam/2) ||Phi||_F^2.  The sweeps start from the
+    zero start's Phi; the Gram path solves it jointly with V as one block
+    B = [V; Phi] against the design Z = [P U, R], and the L-BFGS path with
+    U and V.  Returns (U, V, trace, inner iterations, sweeps, Phi), with
+    Phi of shape (0, Hn) when R is omitted.
     """
     N, mcols = P.shape
     hcols = F.shape[1]
@@ -521,17 +519,6 @@ def _fit_arrays(
     if loss.kind == SQUARED_L2 and kappa == 0.0 and lam > 0:
         weights = (None, np.ones(hcols)) if W is None else _rank_one_weights(W, F.shape)
 
-    if lam > 0 and not p:
-        # zero is optimal exactly when lam >= ||grad of the smooth part at 0||_2
-        # (for l1, of its smoothing), and the sweeps only crawl toward it; exit
-        # with it, and _fit_design's residuals certify it.
-        # With a ridge block the threshold is taken at the ridge fit of Phi, which
-        # only the Gram path computes (_gram_fit); the L-BFGS path always sweeps.
-        if lam >= lambda_max(P, F, loss, W=W):
-            val = loss_value(np.zeros_like(F), F, loss, W)
-            U, V, Phi = np.zeros((mcols, k)), np.zeros((k, hcols)), np.zeros((0, hcols))
-            return U, V, [val], 0, 0, Phi
-
     # the warm start is widened to k by random columns; without one, all k are random
     rng = np.random.default_rng(opts.seed)
     sig = (float(np.std(F)) or 1.0) / np.sqrt(k)
@@ -540,14 +527,25 @@ def _fit_arrays(
     if weights is not None:
         return _gram_fit(P, F, R, weights, U, V, lam, opts)
 
+    lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": 1e-8, "ftol": 1e-16}
+    # the zero start: Phi alone at theta = 0 (the k = 0 solve), the fit if it certifies
+    zero_args, tol = (P, F, n, 0, lam, kappa, loss, W, R), CERT_TOL * lam
+    Phi, total_iters = np.zeros((p, hcols)), 0
+    if p:
+        res = minimize(_factored_value_grad, Phi.ravel(), args=zero_args, jac=True,
+                       method="L-BFGS-B", options=lbfgs_opts)
+        Phi, total_iters = res.x.reshape(p, hcols), int(res.nit)
+    empty = (np.zeros((mcols, 0)), np.zeros(0), np.zeros((hcols, 0)))
+    if max(_residuals_from_svd(*empty, P, F, n, lam, kappa, loss, W, R, Phi, tol)) <= tol:
+        obj = _factored_value_grad(Phi.ravel(), *zero_args)[0]
+        return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], total_iters, 0, Phi
+
     args = (P, F, n, k, lam, kappa, loss, W, R)
-    x = np.concatenate([U.ravel(), V.ravel(), np.zeros(p * hcols)])
+    x = np.concatenate([U.ravel(), V.ravel(), Phi.ravel()])
     obj, _ = _factored_value_grad(x, *args)
     if not np.isfinite(obj):
         raise NumericalError(f"objective is not finite at the initial point ({obj})")
-    lbfgs_opts = {"maxcor": 10, "maxiter": 1000, "gtol": 1e-8, "ftol": 1e-16}
     trace = [obj]
-    total_iters = 0
     for sweeps in range(1, opts.max_outer + 1):
         res = minimize(_factored_value_grad, x, args=args, jac=True, method="L-BFGS-B",
                        options=lbfgs_opts)
@@ -686,7 +684,7 @@ def lambda_max(
     For the squared l2 loss this is (2/N) ||P^T F||_2.  For l1 the
     gradient is the subgradient G0 = loss_grad(0, F, l1, W), 0 where an
     entry of W * F is 0: ||P^T G0||_2 is exact when no entry is 0, and an
-    upper bound on the threshold otherwise.
+    upper bound on the threshold otherwise.  It scales alpha; no fit calls it.
     """
     tol, max_iters = 1e-12, 50000
     P = np.asarray(P, dtype=float)
@@ -715,6 +713,7 @@ def _residuals_from_svd(
     U_theta: np.ndarray, sigma: np.ndarray, V_theta: np.ndarray,
     P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
     W: np.ndarray | None, R: np.ndarray | None = None, Phi: np.ndarray | None = None,
+    r1_gate: float = math.inf,
 ) -> tuple[float, float, float]:
     # with a ridge block the forecast adds R Phi, and Phi's condition joins r2
     Fhat = ((P @ U_theta) * sigma[None, :]) @ V_theta.T
@@ -722,7 +721,7 @@ def _residuals_from_svd(
         Fhat = Fhat + R @ Phi
     _, Gf = _forecast_value_grad(Fhat, F, n, loss, W, kappa)
     gR = None if R is None else R.T @ Gf
-    return _kkt_residuals(P.T @ Gf, U_theta, V_theta, lam, gR, Phi)
+    return _kkt_residuals(P.T @ Gf, U_theta, V_theta, lam, gR, Phi, r1_gate)
 
 
 def optimality_residuals(
@@ -751,7 +750,8 @@ def optimality_residuals(
     singular value counts as support, so a direction that only decays
     toward 0 reads as uncertified until reduce_rank drops it.  FitReport's
     converged is this certificate; the Gram path also stops on it,
-    evaluated from its Gram statistics.
+    evaluated from its Gram statistics, and every fit takes it first at
+    theta = 0, its zero start (see _fit_arrays).
     """
     if not loss.differentiable:
         raise ValueError("optimality residuals require a differentiable loss")

@@ -206,6 +206,19 @@ def test_fit_at_full_penalty_gives_rank_zero(small, tmp_path):
     assert np.allclose(got, np.tile(means, (2, 1)), atol=1e-12)
 
 
+@pytest.mark.parametrize("flags", [("--kappa", 0.5), ("--loss", "huber")])
+def test_ridge_fit_above_lambda_max_is_certified_zero(tmp_path, flags):
+    # the joint L-BFGS path with a ridge block used to sweep here and return
+    # rank 12 of round-off singular values, unconverged
+    assert run("simulate", "--out-dir", tmp_path, "--n", 3, "--T-train", 120, "--seed", 0) == 0
+    report = tmp_path / "r.json"
+    assert run("fit", "--train", tmp_path / "train.csv", "--M", 4, "--H", 4, "--alpha", 1.5,
+               "--periods", 12, "--no-joint-nuclear", *flags, "--model-out", tmp_path / "m.json",
+               "--report-out", report) == 0
+    doc = load_json(str(report))
+    assert doc["rank"] == 0 and doc["sweeps"] == 0 and doc["converged"] is True
+
+
 def test_fit_is_bytewise_deterministic(small, tmp_path):
     outs = []
     for tag in ("one", "two"):
@@ -848,6 +861,21 @@ def test_validation_errors_exit_two(small, tmp_path, capsys):
                "--alpha", 0.3, "--trend", aux_trend, "--model-out", model_out) == 2
     assert "--trend needs a trend fitted on features" in capsys.readouterr().err
     assert not model_out.exists()
+
+
+def test_trend_of_another_width_exits_two(sim, tmp_path, capsys):
+    # a one-series trend was carried onto a three-series fit, and evaluate and
+    # forecast subtracted and re-added its one baseline on every column
+    one, trend = tmp_path / "one.csv", tmp_path / "trend.json"
+    first = read_series_csv(str(sim / "train.csv")).values[:, :1]
+    write_series_csv(str(one), TimeSeries(first))
+    assert run("detrend", "--input", one, "--periods", 12, "--out", tmp_path / "resid.csv",
+               "--trend-out", trend) == 0
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    assert run("fit", "--train", sim / "train.csv", "--M", 4, "--H", 3, "--alpha", 0.3,
+               "--trend", trend, "--model-out", model, "--report-out", report) == 2
+    assert "error: trend was fitted on 1 series, not 3" in capsys.readouterr().err
+    assert not model.exists() and not report.exists()
 
 
 @pytest.mark.parametrize("penalty", [("--alpha", "nan"), ("--alpha", "inf"),

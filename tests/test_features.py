@@ -16,6 +16,8 @@ from lrforecast import (
     FeatureSpec,
     FitOptions,
     Loss,
+    LowRankForecaster,
+    ModelBundle,
     NumericalError,
     TimeSeries,
     TrendModel,
@@ -241,6 +243,35 @@ def test_retrend_round_trip(rng):
     assert np.allclose(base, aux_future @ S0.T, atol=1e-14)
     with pytest.raises(ValueError):
         retrend(resid, trend, aux_future[:2])
+
+
+def test_trend_of_another_width_is_refused(rng):
+    # a one-series trend used to broadcast its baseline onto every column
+    spec = FeatureSpec(periods=(12.0,))
+    one = detrend_fit(TimeSeries(rng.normal(size=(40, 1))), features=spec)
+    x = TimeSeries(rng.normal(size=(40, 3)))
+    message = "trend was fitted on 1 series, not 3"
+    with pytest.raises(ValueError, match=message):
+        detrend_apply(x, one)
+    with pytest.raises(ValueError, match=message):
+        retrend(np.zeros((4, 3)), one, time_features(np.arange(4), spec))
+    model = LowRankForecaster(U=np.zeros((6, 0)), V=[], singular_values=[], n=3, M=2, H=2,
+                              lam=0.0, kappa=0.0, loss=Loss(), means=np.zeros(3))
+    with pytest.raises(ValueError, match=message):
+        ModelBundle(model, trend=one)
+    three = detrend_fit(x, features=spec)
+    assert ModelBundle(model, trend=three).center(x).values.shape == (40, 3)
+
+
+def test_bundle_phi_rows_match_the_feature_spec():
+    # a Phi of 5 rows under a 2-column spec failed later, inside evaluate's matmul
+    model = LowRankForecaster(U=np.zeros((6, 0)), V=[], singular_values=[], n=3, M=2, H=2,
+                              lam=0.0, kappa=0.0, loss=Loss(), means=np.zeros(3))
+    spec = FeatureSpec(periods=(24.0,))
+    with pytest.raises(ValueError, match="aux Phi has 5 rows, but the feature spec has 2 columns"):
+        ModelBundle(model, phi=np.zeros((5, 6)), aux_features=spec)
+    bundle = ModelBundle(model, phi=np.ones((2, 6)), aux_features=spec)
+    assert bundle.aux_term(np.arange(3)).shape == (3, 6)
 
 
 # ------------------------------------------------------------- latent dynamics

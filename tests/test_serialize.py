@@ -313,7 +313,7 @@ def test_model_json_with_trend_and_aux_blocks(tmp_path):
     model = make_model()
     feats = FeatureSpec(periods=(24.0, 12.0), weekday=True)
     trend = TrendModel(S=np.arange(6.0).reshape(2, 3), lam=0.25, features=feats)
-    phi = np.arange(12.0).reshape(3, 4) / 7.0
+    phi = np.arange(20.0).reshape(feats.columns, 4) / 7.0
     save_model_json(path, model, trend=trend, phi=phi, aux_features=feats)
     bundle = load_model_json(path)
     assert_models_equal(bundle.model, model)
@@ -351,7 +351,8 @@ def test_model_json_round_trip_property(
     trend = None
     if with_trend:
         trend = TrendModel(S=mat(n, 3), lam=data.draw(nonneg), features=features)
-    phi = mat(p, H * n) if p else None
+    # with a feature spec, Phi has one row per feature column
+    phi = mat(features.columns if features else p, H * n) if p else None
     d = tmp_path_factory.mktemp("json")
     first, second = str(d / "a.json"), str(d / "b.json")
     save_model_json(first, model, trend=trend, phi=phi, aux_features=features if p else None)

@@ -886,6 +886,89 @@ def test_converged_is_the_certificate_on_every_path(path, expected):
         assert report.sweeps == 0 and report.rank == 0
 
 
+def test_r1_lower_bound_keeps_every_decision(rng):
+    # with a finite gate, one product's lower bound on ||G||_2 may replace r1
+    # by inf, only where the exact r1 exceeds the gate too
+    empty, skipped = (np.zeros((8, 0)), np.zeros((6, 0))), 0
+    for _ in range(20):
+        G = rng.normal(size=(8, 6)) * rng.uniform(0.1, 10.0, size=6)
+        norm = np.linalg.norm(G, 2)
+        for ratio in (0.3, 0.9, 1.0 - 1e-7, 1.0 + 1e-7, 1.0 + 1e-5, 2.0):
+            lam = norm / ratio
+            r1, r2, r3 = solver._kkt_residuals(G, *empty, lam, r1_gate=CERT_TOL * lam)
+            exact = max(norm - lam, 0.0)
+            assert r2 == r3 == 0.0
+            assert (r1 <= CERT_TOL * lam) == (exact <= CERT_TOL * lam)
+            assert r1 == math.inf or abs(r1 - exact) <= 1e-9 * lam
+            skipped += r1 == math.inf
+    assert skipped  # the bound is not vacuous
+
+
+# case: (engine, kappa, loss, rank-one W, aux design)
+ZERO_START_CASES = {
+    "gram": ("gram", 0.0, Loss(), False, None),
+    "gram_rank_one_w": ("gram", 0.0, Loss(), True, None),
+    "gram_stacked_aux": ("gram", 0.0, Loss(), False, "stacked"),
+    "gram_ridge_aux": ("gram", 0.0, Loss(), False, "ridge"),
+    "joint_kappa": ("joint", 0.5, Loss(), False, None),
+    "joint_huber": ("joint", 0.0, huber(0.5), False, None),
+    "joint_l1": ("joint", 0.0, Loss(kind=L1), False, None),
+    "joint_ridge_kappa": ("joint", 0.5, Loss(), False, "ridge"),
+    "joint_ridge_huber": ("joint", 0.0, huber(0.5), False, "ridge"),
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_START_CASES))
+def test_zero_start_on_every_engine_and_design(case, monkeypatch):
+    # every fit first takes its KKT certificate at theta = 0 with Phi fitted
+    # alone there; above lambda_max that is the fit, with no sweep.  The two
+    # joint ridge cases used to sweep to rank 12 of round-off, unconverged
+    engine, kappa, loss, weighted, aux_design = ZERO_START_CASES[case]
+    rng = np.random.default_rng(11)
+    data = rand_instance(rng, N=30, n=2, M=3, H=3)
+    aux = rng.normal(size=(data.N, 2))
+    W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), data.N, data.H) if weighted else None
+    design = data
+    if aux_design == "stacked":
+        design = WindowedDataset(P=np.hstack([data.P, aux]), F=data.F, n=data.n, M=data.M + 1,
+                                 H=data.H)
+    lmax = lambda_max(design.P, design.F, loss, W=W)
+    calls = count_lbfgs(monkeypatch)
+    # lambda_max only scales alpha; no fit computes it
+    monkeypatch.setattr(solver, "lambda_max", None)
+
+    def fit(alpha):
+        lam, opts = alpha * lmax, FitOptions(k=6, **GRAM_OPTS)
+        if aux_design is None:
+            model, report = fit_factored(data, lam, kappa, loss, W, opts)
+            return lam, model.U, model.V, report
+        model, Phi, report = aux_joint_fit(data, aux, lam, kappa, loss, W, opts,
+                                           joint_nuclear=aux_design == "stacked")
+        if aux_design == "stacked":
+            return lam, np.vstack([model.U @ model.V, Phi]), np.eye(data.F.shape[1]), report
+        return lam, model.U, model.V, report
+
+    _, U, V, report = fit(1.5)
+    assert report.rank == 0 and report.sweeps == 0 and not (U @ V).any()
+    assert report.converged is (loss.kind != L1)
+    # only the ridge block's Phi needs an L-BFGS solve at the zero start
+    assert bool(calls) is (engine == "joint" and aux_design == "ridge")
+    calls.clear()
+
+    lam, U, V, report = fit(0.3)
+    assert report.sweeps > 0 and bool(calls) is (engine == "joint")
+    smooth, Ws = _smooth_l1(data.F, W) if loss.kind == L1 else (loss, W)
+    residuals = optimality_residuals(U, V, design, lam, kappa, smooth, Ws)
+    if aux_design == "ridge":
+        # the reference has no ridge block; the certificate takes Phi's term
+        residuals = report.optimality_residuals
+    else:
+        ref = main_objective(svt_reference_solve(design, lam, kappa, smooth, Ws, tol=1e-12),
+                             design, lam, kappa, smooth, Ws)
+        assert abs(main_objective(U @ V, design, lam, kappa, smooth, Ws) - ref) <= 1e-4 * abs(ref)
+    assert max(residuals) <= 1e-3 * lam
+
+
 def test_l1_and_unpenalized_fits_are_not_converged():
     # l1 has no certificate, even at its exact theta = 0 exit; at lam = 0
     # the certificate's scale is 0
