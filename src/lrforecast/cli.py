@@ -197,8 +197,10 @@ def cmd_fit(args) -> int:
     centered, means = center(series)
     data = build_windows(centered, M, H)
     W = _weights_from(args, data.N, H, series.n)
-    if alpha is not None:
-        lam = alpha * lambda_max(data.P, data.F, loss, W=W)
+    aux = None if spec is None else time_features(origin_times(series, M, data.N), spec)
+    joint = aux is not None and args.joint_nuclear is not False
+    if alpha is not None:  # a joint-nuclear fit is zero above the lambda_max of [P, aux]
+        lam = alpha * lambda_max(np.hstack([data.P, aux]) if joint else data.P, data.F, loss, W=W)
     trend = trend_from_json(load_json(args.trend)) if args.trend else None
     if trend is not None and trend.features is None:  # evaluate/forecast re-apply it
         raise ValueError("--trend needs a trend fitted on features, not on --aux rows")
@@ -206,8 +208,6 @@ def cmd_fit(args) -> int:
         trend.check_width(series.n)
     phi = None
     if spec is not None:
-        aux = time_features(origin_times(series, M, data.N), spec)
-        joint = args.joint_nuclear is None or args.joint_nuclear
         model, phi, report = aux_joint_fit(
             data, aux, lam, kappa, loss, W, opts, joint_nuclear=joint, means=means
         )
@@ -471,12 +471,12 @@ def main(argv=None) -> int:
             flags = {a.dest: a for a in commands.choices[args.command]._actions}
             _merge_config(args, load_json(args.config), flags)
         return args.func(args)
+    except (NumericalError, np.linalg.LinAlgError) as e:  # LinAlgError is a ValueError
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -18,14 +18,15 @@ usable for interpretation or simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .baselines import _ridge_solve
 from .core import TimeSeries, WindowedDataset, _is_number, center
 from .objective import Loss
-from .solver import FitOptions, FitReport, LowRankForecaster, _fit_design
+from .solver import FitOptions, FitReport, LowRankForecaster, _fit_design, _widen
 
 
 HOURS_PER_DAY = 24
@@ -275,21 +276,19 @@ def aux_joint_fit(
     feature part Phi.  Otherwise Phi carries a plain ridge penalty
     (lam/2) ||Phi||_F^2 outside the factorization and is optimized with the
     factors: jointly with V in each closed-form sweep, or with U and V in
-    each L-BFGS solve.  With zero aux columns both paths reduce to the
-    plain factored fit.
+    each L-BFGS solve.  With zero aux columns both paths reduce to
+    fit_auto_rank.
 
-    The fit stays at one width, opts.k capped as in fit_auto_rank at
-    min(columns of the factored design, Hn): with joint_nuclear the design
-    is [P, aux], otherwise P.  There is no rank escalation, so a returned
-    rank equal to that width may be limited by it; r1 > 0 in the report's
-    optimality residuals, taken on the whole design, shows a binding width.
+    The factor width grows as in fit_auto_rank, with the same report, from
+    opts.k up to min(columns of the factored design, Hn): [P, aux], whose
+    stacked factors warm-start the next width, or P, with Phi refitted from
+    the zero start at each width.
     """
-    opts = opts or FitOptions()
     aux = np.asarray(aux, dtype=float)
     if aux.ndim != 2 or aux.shape[0] != data.N:
         raise ValueError(f"aux must be N x p with N={data.N}, got {aux.shape}")
     # stacked: aux columns join P inside the factorization; ridge: aux is the R block
-    P = np.hstack([data.P, aux]) if joint_nuclear and aux.shape[1] else data.P
-    R = None if joint_nuclear else aux
-    opts = replace(opts, k=min(opts.k, P.shape[1], data.F.shape[1]))
-    return _fit_design(P, data, lam, kappa, loss, W, opts, means, R)
+    P, R = (np.hstack([data.P, aux]), aux[:, :0]) if joint_nuclear else (data.P, aux)
+    fit = partial(_fit_design, P, data, lam, kappa, loss, W, means=means, R=R)
+    (model, Phi), report = _widen(fit, opts or FitOptions(), min(P.shape[1], data.F.shape[1]))
+    return model, Phi, report

@@ -29,7 +29,7 @@ _KINDS = (SQUARED_L2, L1, HUBER)
 
 @dataclass(frozen=True)
 class Loss:
-    """A per-window penalty: squared l2, l1, or Huber with threshold delta.
+    """A per-window penalty: squared l2, l1, or Huber with a finite threshold delta > 0.
 
     The Huber penalty is elementwise u^2 for |u| <= delta and
     delta * (2|u| - delta) beyond, so it is continuously differentiable.
@@ -42,7 +42,7 @@ class Loss:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind == HUBER:
-            if not (_is_number(self.delta) and self.delta > 0):
+            if not (_is_number(self.delta) and 0 < self.delta < np.inf):
                 raise ValueError(f"huber loss requires a real delta > 0, got {self.delta!r}")
         elif self.delta is not None:
             raise ValueError(f"delta is only meaningful for huber loss, got kind={self.kind!r}")

@@ -62,10 +62,11 @@ class NumericalError(RuntimeError):
 class FitOptions:
     """Knobs for the factored solver.
 
-    k: factor width (inner dimension), at least 1; fit_factored rejects a k
-        above min(Mn, Hn), fit_auto_rank caps it there.  A sweep column
-        starts its first fit at k and each warm fit at twice the previous
-        row's rank (see evaluation._sweep_chain).
+    k: factor width (inner dimension), at least 1; fit_factored fits at k
+        and rejects a k above min(Mn, Hn).  fit_auto_rank and aux_joint_fit
+        start at k and widen from there, capped at the size of their design.
+        A sweep column starts its first fit at k and each warm fit at twice
+        the previous row's rank (see evaluation._sweep_chain).
     max_outer: maximum number of sweeps, at least 1.  A Gram-path sweep
         solves V then U; an L-BFGS sweep is one joint solve over
         [U; V; Phi], restarted from the last iterate.  The stopping rules
@@ -98,10 +99,12 @@ class FitOptions:
 class FitReport:
     """Convergence record for one fit.
 
-    From fit_auto_rank, iterations, sweeps and wall_time total every width
-    in k_schedule; the other fields are those of the last width's fit.
-    optimality_residuals (None for l1) is taken on the fitted design, see
-    optimality_residuals: [P, aux] for a joint aux fit, Phi's term for ridge.
+    From fit_auto_rank and aux_joint_fit, iterations, sweeps and wall_time
+    total every width in k_schedule, and cap_reached means the rank reached
+    the cap on the width; the other fields are those of the last width's
+    fit.  optimality_residuals (None for l1) is taken on the fitted design,
+    see optimality_residuals: [P, aux] for a joint aux fit, Phi's term for
+    ridge.
 
     converged means the KKT certificate: optimality_residuals is not None
     and max(r1, r2, r3) <= CERT_TOL * lam, on every engine; a fit that
@@ -289,12 +292,12 @@ def _forecast_value_grad(
 
 def _factored_value_grad(
     x: np.ndarray, P: np.ndarray, F: np.ndarray, n: int, k: int, lam: float, kappa: float,
-    loss: Loss, W: np.ndarray | None, R: np.ndarray | None = None,
+    loss: Loss, W: np.ndarray | None, R: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Factored objective and its gradient at x = [U; V; Phi], raveled.
 
     U is Mn x k and B = [V; Phi] is (k + p) x Hn, Phi the coefficients of
-    the ridge block R (p = 0 without one).  The value is the smooth part
+    the N x p ridge block R (p = 0 without one).  The value is the smooth part
     of _forecast_value_grad at Fhat = P U V + R Phi plus
     (lam/2)(||U||_F^2 + ||V||_F^2 + ||Phi||_F^2).
     """
@@ -302,7 +305,7 @@ def _factored_value_grad(
     U = x[: mcols * k].reshape(mcols, k)
     B = x[mcols * k :].reshape(-1, hcols)
     PU = P @ U
-    Z = PU if R is None else np.hstack([PU, R])
+    Z = np.hstack([PU, R]) if R.shape[1] else PU
     val, G = _forecast_value_grad(Z @ B, F, n, loss, W, kappa)
     grad = np.concatenate([(P.T @ (G @ B[:k].T)).ravel(), (Z.T @ G).ravel()])
     return val + 0.5 * lam * float(x @ x), grad + lam * x
@@ -340,18 +343,18 @@ def _stalled(trace: list[float]) -> bool:
     return trace[-2] - trace[-1] <= STALL_TOL * max(abs(trace[-2]), 1e-300)
 
 
-def _kkt_residuals(G, U_theta, V_theta, lam, gPhi=None, Phi=None, r1_gate=math.inf):
+def _kkt_residuals(G, U_theta, V_theta, lam, gPhi, Phi, r1_gate=math.inf):
     """optimality_residuals' (r1, r2, r3) at the smooth gradient G in theta.
 
-    A ridge block's gradient gPhi in Phi joins r2.  r1's spectral norm runs
+    The ridge block's coefficients Phi and their gradient gPhi, both p x Hn
+    ((0, Hn) without one), join r2.  r1's spectral norm runs
     only once max(r2, r3) <= r1_gate and, for a finite gate, the lower
     bound ||A^T u|| / ||u|| on ||A||_2 (A = G + lam U_theta V_theta^T, u its
     largest column) is at most lam + r1_gate; r1 is inf otherwise, and NaN
     fails.  G and U_theta may share an orthonormal change of row basis.
     """
-    r2 = float(np.linalg.norm(U_theta.T @ G + lam * V_theta.T))
-    if gPhi is not None:
-        r2 = math.hypot(r2, float(np.linalg.norm(gPhi + lam * Phi)))
+    r2 = math.hypot(float(np.linalg.norm(U_theta.T @ G + lam * V_theta.T)),
+                    float(np.linalg.norm(gPhi + lam * Phi)))
     r3 = float(np.linalg.norm(G @ V_theta + lam * U_theta))
     r1 = math.inf
     if max(r2, r3) <= r1_gate:
@@ -363,13 +366,13 @@ def _kkt_residuals(G, U_theta, V_theta, lam, gPhi=None, Phi=None, r1_gate=math.i
 
 
 def _gram_fit(
-    P: np.ndarray, F: np.ndarray, R: np.ndarray | None,
-    weights: tuple[np.ndarray | None, np.ndarray],
+    P: np.ndarray, F: np.ndarray, R: np.ndarray,
+    weights: tuple[np.ndarray, np.ndarray],
     U: np.ndarray, V: np.ndarray, lam: float, opts: FitOptions,
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
     """Exact alternating block solves on Gram statistics, stopped by the KKT certificate.
 
-    With W = a b^T (weights = (a, b), a None for unit rows) the loss
+    With W = a b^T (weights = (a, b), both ones without W) the loss
     (1/N) ||D_a (P theta + R Phi - F) D_b||_F^2 sees the data only through
     [P, R]^T D_a^2 [P, R], [P, R]^T D_a^2 F and ||D_a F D_b||_F^2, formed
     once; the sweeps run in the eigenbasis of G = P^T D_a^2 P.  The V-step
@@ -380,9 +383,9 @@ def _gram_fit(
     _kkt_residuals' certificate is taken from the smooth gradient
     (2/N)(G theta + G_PR Phi - C) D_b^2: r2 and r3, then the spectral-norm
     r1 once those pass.  It is taken at the zero start (theta = 0, Phi0 =
-    solve(G_RR, C_R), (0, Hn) without R; the sweeps start from Phi0), after
-    sweep 1, every CERT_EVERY sweeps after it (1, 6, 11, ... at 5) and
-    sweep max_outer.  The fit stops on it, up to
+    solve(G_RR, C_R), (0, Hn) when R has no columns; the sweeps start from
+    Phi0), after sweep 1, every CERT_EVERY sweeps after it (1, 6, 11, ...
+    at 5) and sweep max_outer.  The fit stops on it, up to
     CERT_EVERY - 1 sweeps after the first sweep that would certify.  On
     the same sweeps the objective stall (_stalled, over the last sweep)
     ends the fit only when the width binds.  Returns _fit_arrays' tuple.
@@ -390,9 +393,7 @@ def _gram_fit(
     a, b = weights
     N, mcols = P.shape
     k, hcols = V.shape
-    X = P if R is None else np.hstack([P, R])
-    if a is not None:
-        X, F = X * a[:, None], F * a[:, None]
+    X, F = np.hstack([P, R]) * a[:, None], F * a[:, None]
     S, CX = X.T @ X, X.T @ F
     f2, b2 = float(((F * b) ** 2).sum()), b * b
     g, Q = np.linalg.eigh(S[:mcols, :mcols])
@@ -467,7 +468,7 @@ def _gram_fit(
 
 def _fit_arrays(
     P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
-    W: np.ndarray | None, opts: FitOptions, R: np.ndarray | None = None,
+    W: np.ndarray | None, opts: FitOptions, R: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
     """Fits the factored objective at width k. Returns raw factors.
 
@@ -482,19 +483,18 @@ def _fit_arrays(
     in closed form; here the k = 0 L-BFGS solve, when R has columns) and
     takes the KKT certificate there.  If max(r1, r2, r3) <= CERT_TOL * lam,
     theta = 0 with that Phi is the fit: 0 sweeps, trace [its objective];
-    without R, that is lam >= lambda_max / (1 + CERT_TOL).
+    with p = 0, that is lam >= lambda_max / (1 + CERT_TOL).
 
-    R (N x p, optional) adds regressors outside the factorization: the
-    forecast becomes P U V + R Phi, and their coefficients Phi (p x Hn)
-    carry the ridge penalty (lam/2) ||Phi||_F^2.  The sweeps start from the
-    zero start's Phi; the Gram path solves it jointly with V as one block
-    B = [V; Phi] against the design Z = [P U, R], and the L-BFGS path with
-    U and V.  Returns (U, V, trace, inner iterations, sweeps, Phi), with
-    Phi of shape (0, Hn) when R is omitted.
+    R (N x p, p >= 0; N x 0 for a plain fit) holds regressors outside the
+    factorization: the forecast is P U V + R Phi, and their coefficients
+    Phi (p x Hn) carry the ridge penalty (lam/2) ||Phi||_F^2.  The sweeps
+    start from the zero start's Phi; the Gram path solves it jointly with V
+    as one block B = [V; Phi] against the design Z = [P U, R], and the
+    L-BFGS path with U and V.  Returns (U, V, trace, inner iterations,
+    sweeps, Phi), Phi of shape (p, Hn).
     """
     N, mcols = P.shape
-    hcols = F.shape[1]
-    p = 0 if R is None else R.shape[1]
+    hcols, p = F.shape[1], R.shape[1]
     k = opts.k
     if not 1 <= k <= min(mcols, hcols):
         raise ValueError(f"k={k} must be in [1, min({mcols}, {hcols})]")
@@ -517,7 +517,7 @@ def _fit_arrays(
     # W = a b^T (or no W) keeps squared l2 at kappa = 0 a function of Gram statistics
     weights = None
     if loss.kind == SQUARED_L2 and kappa == 0.0 and lam > 0:
-        weights = (None, np.ones(hcols)) if W is None else _rank_one_weights(W, F.shape)
+        weights = (np.ones(N), np.ones(hcols)) if W is None else _rank_one_weights(W, F.shape)
 
     # the warm start is widened to k by random columns; without one, all k are random
     rng = np.random.default_rng(opts.seed)
@@ -562,14 +562,14 @@ def _fit_arrays(
 
 def _fit_design(
     P: np.ndarray, data: WindowedDataset, lam: float, kappa: float, loss: Loss,
-    W: np.ndarray | None, opts: FitOptions, means: np.ndarray | None,
-    R: np.ndarray | None = None,
-) -> tuple[LowRankForecaster, np.ndarray, FitReport]:
-    """Fits the design P to data.F; returns (model, Phi, report) of every fit.
+    W: np.ndarray | None, opts: FitOptions, means: np.ndarray | None, R: np.ndarray,
+) -> tuple[tuple[LowRankForecaster, np.ndarray], tuple[np.ndarray, np.ndarray], FitReport]:
+    """Fits the design P to data.F at width opts.k; returns ((model, Phi), (U, V), report).
 
     P is data.P, or data.P with aux columns appended inside the factorization:
     the stacked [theta; Phi] is then split, theta's rows re-reduced as the
-    model.  R is _fit_arrays' ridge block; Phi is (0, Hn) without aux.
+    model.  R is _fit_arrays' N x p ridge block.  (U, V) are the reduced
+    factors of P's fit, stacked ones included, as _widen reads them.
     """
     t0 = time.perf_counter()
     U, V, trace, iters, sweeps, Phi = _fit_arrays(
@@ -581,7 +581,7 @@ def _fit_design(
         residuals = _residuals_from_svd(
             U_theta, sigma, V_theta, P, data.F, data.n, lam, kappa, loss, W, R, Phi
         )
-    mn = data.P.shape[1]
+    mn, design = data.P.shape[1], (Ur, Vr)
     if P.shape[1] > mn:
         # sigma belongs to the stacked [theta; Phi]; re-reduce theta's rows alone
         Phi = Ur[mn:] @ Vr
@@ -597,7 +597,26 @@ def _fit_design(
         converged=residuals is not None and max(residuals) <= CERT_TOL * lam,
         wall_time=time.perf_counter() - t0, k_schedule=[opts.k],
     )
-    return model, Phi, report
+    return (model, Phi), design, report
+
+
+def _widen(fit, opts: FitOptions, cap: int):
+    """fit_auto_rank's width loop for every fit; fit(opts) returns _fit_design's triple."""
+    k = opts.k
+    if opts.init is not None and np.ndim(opts.init[0]) == 2:
+        k = max(k, np.shape(opts.init[0])[1])  # a warm start is never narrowed
+    k, step, reports, t0 = min(k, cap), opts, [], time.perf_counter()
+    while True:
+        result, (U, V), report = fit(replace(step, k=k))  # (U, V): reduced design factors
+        reports.append(report)
+        if U.shape[1] < k or k == cap or report.converged:
+            break
+        step = replace(opts, init=(U, V), seed=opts.seed + len(reports))
+        k = min(2 * k, cap)
+    return result, replace(
+        report, iterations=sum(r.iterations for r in reports),
+        sweeps=sum(r.sweeps for r in reports), k_schedule=[r.k_schedule[0] for r in reports],
+        cap_reached=U.shape[1] == cap, wall_time=time.perf_counter() - t0)
 
 
 def fit_factored(
@@ -617,7 +636,8 @@ def fit_factored(
     trace never increases.  The returned model carries the reduced,
     balanced factors.  Deterministic given opts.seed.
     """
-    model, _, report = _fit_design(data.P, data, lam, kappa, loss, W, opts or FitOptions(), means)
+    (model, _), _, report = _fit_design(data.P, data, lam, kappa, loss, W, opts or FitOptions(),
+                                        means, np.zeros((data.N, 0)))
     return model, report
 
 
@@ -640,31 +660,14 @@ def fit_auto_rank(
     is optimal for the convex problem at any width and is not widened.  The
     report lists the widths tried and counts the work of all of them (see
     FitReport); cap_reached flags an undecidable rank at the dimension cap.
+    aux_joint_fit widens by the same loop, _widen.
     """
-    opts = opts or FitOptions()
-    cap = min(data.P.shape[1], data.F.shape[1])
-    k = opts.k
-    if opts.init is not None and np.ndim(opts.init[0]) == 2:
-        k = max(k, np.shape(opts.init[0])[1])  # a warm start is never narrowed
-    k = min(k, cap)
-    schedule = []
-    step = opts
-    iterations = sweeps = 0
-    t0 = time.perf_counter()
-    while True:
-        model, report = fit_factored(data, lam, kappa, loss, W, replace(step, k=k), means)
-        schedule.append(k)
-        iterations += report.iterations
-        sweeps += report.sweeps
-        if model.rank < k or k == cap or report.converged:
-            break
-        step = replace(opts, init=(model.U, model.V), seed=opts.seed + len(schedule))
-        k = min(2 * k, cap)
-    report.iterations, report.sweeps = iterations, sweeps
-    report.k_schedule = schedule
-    report.cap_reached = model.rank == cap
-    report.wall_time = time.perf_counter() - t0
-    return model, report
+
+    def fit(step):
+        model, report = fit_factored(data, lam, kappa, loss, W, step, means)
+        return model, (model.U, model.V), report
+
+    return _widen(fit, opts or FitOptions(), min(data.P.shape[1], data.F.shape[1]))
 
 
 def lambda_max(
@@ -712,16 +715,13 @@ def lambda_max(
 def _residuals_from_svd(
     U_theta: np.ndarray, sigma: np.ndarray, V_theta: np.ndarray,
     P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
-    W: np.ndarray | None, R: np.ndarray | None = None, Phi: np.ndarray | None = None,
-    r1_gate: float = math.inf,
+    W: np.ndarray | None, R: np.ndarray, Phi: np.ndarray, r1_gate: float = math.inf,
 ) -> tuple[float, float, float]:
-    # with a ridge block the forecast adds R Phi, and Phi's condition joins r2
-    Fhat = ((P @ U_theta) * sigma[None, :]) @ V_theta.T
-    if R is not None:
-        Fhat = Fhat + R @ Phi
+    # the forecast adds the ridge block's R Phi (N x p times p x Hn, p >= 0),
+    # and Phi's condition joins r2
+    Fhat = ((P @ U_theta) * sigma[None, :]) @ V_theta.T + R @ Phi
     _, Gf = _forecast_value_grad(Fhat, F, n, loss, W, kappa)
-    gR = None if R is None else R.T @ Gf
-    return _kkt_residuals(P.T @ Gf, U_theta, V_theta, lam, gR, Phi, r1_gate)
+    return _kkt_residuals(P.T @ Gf, U_theta, V_theta, lam, R.T @ Gf, Phi, r1_gate)
 
 
 def optimality_residuals(
@@ -756,9 +756,8 @@ def optimality_residuals(
     if not loss.differentiable:
         raise ValueError("optimality residuals require a differentiable loss")
     _, _, (U_theta, sigma, V_theta) = reduce_rank(U, V)
-    return _residuals_from_svd(
-        U_theta, sigma, V_theta, data.P, data.F, data.n, lam, kappa, loss, W
-    )
+    return _residuals_from_svd(U_theta, sigma, V_theta, data.P, data.F, data.n, lam, kappa,
+                               loss, W, np.zeros((data.N, 0)), np.zeros((0, data.F.shape[1])))
 
 
 def svt_reference_solve(

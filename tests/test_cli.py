@@ -20,7 +20,7 @@ from lrforecast.baselines import cond_mean_forecaster, ss_autocov
 from lrforecast.cli import main
 from lrforecast.core import TimeSeries, build_windows, center
 from lrforecast.evaluation import EvalResult, evaluate
-from lrforecast.features import detrend_apply, retrend, time_features
+from lrforecast.features import FeatureSpec, detrend_apply, origin_times, retrend, time_features
 from lrforecast.objective import Loss
 from lrforecast.serialize import (
     dump_json,
@@ -479,6 +479,42 @@ def test_aux_fit_caps_default_width(sim, tmp_path, joint):
     assert doc["k_schedule"] == [9]
     # feature fits carry the certificate of their design, as plain fits do
     assert len(doc["optimality_residuals"]) == 3
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_alpha_scales_by_the_lambda_max_of_the_fitted_design(sim, tmp_path, joint):
+    # a joint-nuclear fit is zero above the lambda_max of [P, aux], so alpha = 1
+    # is its certified zero start; a ridge fit's threshold depends on Phi, and
+    # its alpha stays on the lambda_max of the windows alone
+    report = tmp_path / "r.json"
+    flags = [] if joint else ["--no-joint-nuclear"]
+    assert run("fit", "--train", sim / "train.csv", "--M", 4, "--H", 3, "--alpha", 1.0,
+               "--periods", 12, "--weekday", *flags, "--model-out", tmp_path / "m.json",
+               "--report-out", report) == 0
+    doc = load_json(str(report))
+    series = read_series_csv(str(sim / "train.csv"))
+    data = build_windows(center(series)[0], 4, 3)
+    P = data.P
+    if joint:
+        aux = time_features(origin_times(series, 4, data.N), FeatureSpec((12,), True))
+        P = np.hstack([P, aux])
+        assert doc["rank"] == 0 and doc["sweeps"] == 0 and doc["converged"] is True
+    assert doc["lambda"] == lambda_max(P, data.F)
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_feature_fits_widen_like_plain_fits(tmp_path, joint):
+    # at k = 2 the width binds; feature fits used to stop there uncertified
+    d = tmp_path / "sim"
+    assert run("simulate", "--out-dir", d, "--T-train", 200, "--T-test", 100, "--n", 3,
+               "--rank", 2, "--seed", 0) == 0
+    report = tmp_path / "r.json"
+    flags = [] if joint else ["--no-joint-nuclear"]
+    assert run("fit", "--train", d / "train.csv", "--M", 4, "--H", 4, "--lambda", 74,
+               "--k", 2, "--periods", 12, *flags, "--model-out", tmp_path / "m.json",
+               "--report-out", report) == 0
+    doc = load_json(str(report))
+    assert doc["k_schedule"] == [2, 4] and doc["converged"] is True
 
 
 def test_warm_start_with_feature_flags_is_rejected(sim, tmp_path, capsys):
@@ -1099,6 +1135,39 @@ def test_numerical_failures_exit_three(sim, tmp_path, capsys):
         "--out", tmp_path / "resid.csv", "--trend-out", tmp_path / "t.json",
     ) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_linalg_failures_exit_three(tmp_path, capsys, kappa):
+    # values near 1e200 overflow the certificate's Gram matrix, and LAPACK's
+    # LinAlgError, a ValueError, used to exit 2 as an input error
+    rng = np.random.default_rng(0)
+    write_series_csv(str(tmp_path / "big.csv"),
+                     TimeSeries(1e200 * (1.0 + 0.1 * rng.normal(size=(60, 2)))))
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    assert run("fit", "--train", tmp_path / "big.csv", "--M", 3, "--H", 2, "--lambda", 1,
+               "--kappa", kappa, "--model-out", model, "--report-out", report) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not model.exists() and not report.exists()
+
+
+def test_infinite_huber_delta_exits_two(small, fitted, sim, tmp_path, capsys):
+    # delta = inf was fitted and written as the non-JSON token Infinity
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    assert run("fit", "--train", small / "train.csv", "--M", 3, "--H", 2, "--alpha", 0.3,
+               "--loss", "huber", "--delta", "inf", "--model-out", model,
+               "--report-out", report) == 2
+    assert "huber loss requires a real delta > 0, got inf" in capsys.readouterr().err
+    assert not model.exists() and not report.exists()
+    doc = load_json(str(fitted["model"]))
+    doc["loss"] = {"kind": "huber", "delta": math.inf}
+    bad, out = tmp_path / "bad.json", tmp_path / "metrics.json"
+    bad.write_text(json.dumps(doc))
+    assert '"delta": Infinity' in bad.read_text()
+    assert run("evaluate", "--model", bad, "--input", sim / "test.csv", "--out", out) == 2
+    assert "delta > 0, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detrend_aux_of_wrong_length_exits_two(sim, tmp_path, capsys):

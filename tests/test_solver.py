@@ -49,9 +49,7 @@ def rand_instance(rng, N=15, n=2, M=4, H=3, scale=1.0):
 
 def factored_value(data, U, V, Phi, R, lam, kappa, loss, W):
     # the factored objective, assembled independently of the solver
-    Fhat = (data.P @ U) @ V
-    if R is not None:
-        Fhat = Fhat + R @ Phi
+    Fhat = (data.P @ U) @ V + R @ Phi
     val = loss_value(Fhat, data.F, loss, W) + kappa * inconsistency(Fhat, data.n)
     return val + 0.5 * lam * sum(float((A * A).sum()) for A in (U, V, Phi))
 
@@ -70,7 +68,7 @@ def test_factored_gradients_match_fd(kind, kappa):
         data = rand_instance(rng, N=int(rng.integers(5, 15)))
         mcols, hcols = data.P.shape[1], data.F.shape[1]
         W = rng.uniform(0.5, 1.5, size=data.F.shape) if weighted else None
-        R = rng.normal(size=(data.N, p)) if p else None
+        R = rng.normal(size=(data.N, p))
         U = rng.normal(size=(mcols, k))
         V = rng.normal(size=(k, hcols))
         Phi = rng.normal(size=(p, hcols))
@@ -292,7 +290,7 @@ def initial_factors(monkeypatch, data, opts):
         return U, V, [0.0], 0, 0, np.zeros((0, V.shape[1]))
 
     monkeypatch.setattr(solver, "_gram_fit", capture)
-    _fit_arrays(data.P, data.F, data.n, 0.1, 0.0, Loss(), None, opts)
+    _fit_arrays(data.P, data.F, data.n, 0.1, 0.0, Loss(), None, opts, np.zeros((data.N, 0)))
     (U, V), = seen
     return U, V
 
@@ -328,7 +326,7 @@ def test_raw_factors_balance_at_convergence(rng, monkeypatch):
     monkeypatch.setattr(solver, "STALL_TOL", 1e-13)
     data = rand_instance(rng, N=30)
     U, V, *_ = _fit_arrays(data.P, data.F, data.n, 0.2, 0.0, Loss(), None,
-                           FitOptions(k=4, max_outer=500))
+                           FitOptions(k=4, max_outer=500), np.zeros((data.N, 0)))
     nu = float((U * U).sum())
     nv = float((V * V).sum())
     nuc = nuclear_norm(U @ V)
@@ -624,7 +622,7 @@ def test_gram_certificate_cadence(rng, monkeypatch):
         lam = frac * lmax
         U, V, _, _, sweeps, _ = _fit_arrays(
             data.P, data.F, data.n, lam, 0.0, Loss(), None,
-            FitOptions(k=k, max_outer=max_outer),
+            FitOptions(k=k, max_outer=max_outer), np.zeros((data.N, 0)),
         )
         checked = [s for s in range(1, sweeps + 1)
                    if (s - 1) % CERT_EVERY == 0 or s == max_outer]
@@ -895,7 +893,8 @@ def test_r1_lower_bound_keeps_every_decision(rng):
         norm = np.linalg.norm(G, 2)
         for ratio in (0.3, 0.9, 1.0 - 1e-7, 1.0 + 1e-7, 1.0 + 1e-5, 2.0):
             lam = norm / ratio
-            r1, r2, r3 = solver._kkt_residuals(G, *empty, lam, r1_gate=CERT_TOL * lam)
+            r1, r2, r3 = solver._kkt_residuals(G, *empty, lam, np.zeros((0, 6)), np.zeros((0, 6)),
+                                               r1_gate=CERT_TOL * lam)
             exact = max(norm - lam, 0.0)
             assert r2 == r3 == 0.0
             assert (r1 <= CERT_TOL * lam) == (exact <= CERT_TOL * lam)
@@ -992,3 +991,27 @@ def test_penalties_must_be_finite_and_nonnegative(rng, lam, kappa):
         fit_factored(data, lam, kappa, opts=FitOptions(k=2))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         svt_reference_solve(data, lam, kappa)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_overflowing_objective_raises_numerical_error(kappa):
+    # the loss of F ~ 1e154 overflows while its gradient stays finite, so the
+    # zero start's certificate runs and fails, and each engine's own check
+    # refuses the start (at F ~ 1e200 the gradient overflows too, and whether
+    # the certificate's eigvalsh raises first depends on the instance)
+    rng = np.random.default_rng(0)
+    data = WindowedDataset(P=rng.normal(size=(200, 6)),
+                           F=1e154 * (1.0 + rng.uniform(size=(200, 4))), n=2, M=3, H=2)
+    with pytest.raises(NumericalError, match="objective is not finite at the initial point"):
+        fit_factored(data, 1.0, kappa, opts=FitOptions(k=2))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_all_zero_weights_fit_zero_at_the_zero_start(rng, kappa):
+    # a W of zeros is not rank one (_rank_one_weights' zero branch), and the
+    # gradient it leaves is 0, so the zero start certifies with no sweep
+    data = rand_instance(rng, N=20)
+    model, report = fit_factored(data, 0.1, kappa, W=np.zeros(data.F.shape),
+                                 opts=FitOptions(k=2))
+    assert model.rank == 0 and report.sweeps == 0 and report.converged
