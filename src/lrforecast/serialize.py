@@ -7,12 +7,16 @@ time index, consecutive from the series' t0; the other columns hold the
 values, each formatted "%.17g" so a write/read round trip is exact for
 doubles.  Fields are comma separated and every line ends in CRLF.
 
-Series CSVs are read with csv.reader, so quoted fields and CR, LF or CRLF
-line ends are accepted, as is a leading UTF-8 byte order mark.  Cells are
-parsed by int() (the t index) and float() (values), which accept
-surrounding whitespace and digit underscores.  A wrong field count, a
-non-consecutive t, or a value that is not a finite number is rejected
-with a ValueError naming the first offending line.
+Series CSVs are read as csv.reader reads them, so quoted fields and CR,
+LF or CRLF line ends are accepted, as is a leading UTF-8 byte order mark.
+Cells are parsed as int() (the t index) and float() (values) parse them,
+which accept surrounding whitespace and digit underscores.  A wrong field
+count, a non-consecutive t, or a value that is not a finite number is
+rejected with a ValueError naming the first offending line.  A canonical
+file, as the writers make it, is parsed in C by np.loadtxt; any other
+file, and any file that fails a check there, is read again by csv.reader
+and int()/float(), the only source of values for such files and of error
+messages, so the accepted inputs and messages are those of that path.
 
 This is the only module that reads or writes JSON.  Documents are dumped
 with sorted keys and a fixed indent, so identical inputs give identical
@@ -84,8 +88,13 @@ def _write_csv(
 def read_series_csv(path: str) -> TimeSeries:
     """Parses a series CSV, validating field counts, the t index and values.
 
+    _read_canonical parses a canonical file; csv.reader reads every other.
     Malformed rows raise ValueError naming the first offending line.
     """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        series = _read_canonical(fh.read())
+    if series is not None:
+        return series
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -104,6 +113,56 @@ def read_series_csv(path: str) -> TimeSeries:
     if parsed is None:
         _raise_first_error(path, body, len(header), has_t)
     values, t0 = parsed
+    return TimeSeries(values, names=tuple(names), t0=t0)
+
+
+# every character a canonical body may hold
+_CANONICAL = b"0123456789+-.eE,\r\n"
+
+
+def _read_canonical(text: str) -> TimeSeries | None:
+    """The series in a canonical file's text, else None.
+
+    Canonical: a header line holding no quote, CR or NUL, then a body of
+    ASCII digits, signs, points, exponents, commas and line ends with no
+    blank line and no line longer than csv's field size limit.  One
+    np.loadtxt call parses the body, values through CPython's
+    PyOS_string_to_double (float()'s routine) and t as int64, which
+    refuses a cell int() refuses ("1.0", "1e5").  The result counts only if
+    every line gave a row, t is consecutive and every value is finite;
+    otherwise the caller's csv.reader path reads the file, and it alone
+    names errors.
+    """
+    header, _, body = text.partition("\n")
+    header = header.removesuffix("\r")
+    if any(c in header for c in '"\r\0') or not body.isascii():
+        return None
+    if body.encode().translate(None, _CANONICAL):
+        return None
+    names = [c.strip() for c in header.split(",")]
+    has_t = names[0] == "t"
+    names = names[1:] if has_t else names
+    lines = body.splitlines()
+    # loadtxt skips blank lines, and warns on a body of them
+    if not (names and all(names) and lines and lines[0]):
+        return None
+    if max(len(header), max(map(len, lines))) > csv.field_size_limit():
+        return None
+    columns = [("t", np.int64)] if has_t else []
+    dtype = np.dtype([*columns, ("v", np.float64, (len(names),))])
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    values, t0 = np.ascontiguousarray(table["v"]), 1
+    if len(table) != len(lines) or not np.isfinite(values).all():
+        return None
+    if has_t:
+        t = table["t"]
+        t0 = int(t[0])
+        # np.diff wraps from 2**63 - 1 to -2**63; the span in Python ints does not
+        if (np.diff(t) != 1).any() or int(t[-1]) - t0 != len(t) - 1:
+            return None
     return TimeSeries(values, names=tuple(names), t0=t0)
 
 

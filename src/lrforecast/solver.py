@@ -343,6 +343,14 @@ def _stalled(trace: list[float]) -> bool:
     return trace[-2] - trace[-1] <= STALL_TOL * max(abs(trace[-2]), 1e-300)
 
 
+def _finite_start(obj: float) -> float:
+    """obj, the objective at a fit's zero or random start; NumericalError if
+    it is not finite, before a certificate or sweep runs on overflowed values."""
+    if not np.isfinite(obj):
+        raise NumericalError(f"objective is not finite at the initial point ({obj})")
+    return obj
+
+
 def _kkt_residuals(G, U_theta, V_theta, lam, gPhi, Phi, r1_gate=math.inf):
     """optimality_residuals' (r1, r2, r3) at the smooth gradient G in theta.
 
@@ -431,8 +439,8 @@ def _gram_fit(
 
     # the zero start: Phi alone at theta = 0, the fit if it certifies
     Phi = solve(GRR, CR)
+    obj = _finite_start(objective(GRR, CR, Phi, np.zeros((0, 0))))
     if certificate(np.zeros((mcols, 0)), np.zeros(0), np.zeros((hcols, 0)), Phi) <= tol:
-        obj = objective(GRR, CR, Phi, np.zeros((0, 0)))
         return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], 0, 0, Phi
 
     def solve_u(B):
@@ -445,10 +453,7 @@ def _gram_fit(
     Ut = Q.T @ U
     B = np.vstack([V, Phi])
     K, Cz = normal(Ut)
-    obj = objective(K, Cz, B, Ut)
-    if not np.isfinite(obj):
-        raise NumericalError(f"objective is not finite at the initial point ({obj})")
-    trace = [obj]
+    trace = [_finite_start(objective(K, Cz, B, Ut))]
     for sweeps in range(1, opts.max_outer + 1):
         B = solve(K, Cz)
         Ut = solve_u(B)
@@ -480,8 +485,9 @@ def _fit_arrays(
     l1 is swapped for _smooth_l1's smoothing at entry.  Both engines share
     the validation and the initial factors, and one zero rule, the zero
     start: before sweep 1 the engine fits Phi alone at theta = 0 (_gram_fit
-    in closed form; here the k = 0 L-BFGS solve, when R has columns) and
-    takes the KKT certificate there.  If max(r1, r2, r3) <= CERT_TOL * lam,
+    in closed form; here the k = 0 L-BFGS solve, when R has columns),
+    refuses a non-finite objective there (_finite_start) and then takes the
+    KKT certificate.  If max(r1, r2, r3) <= CERT_TOL * lam,
     theta = 0 with that Phi is the fit: 0 sweeps, trace [its objective];
     with p = 0, that is lam >= lambda_max / (1 + CERT_TOL).
 
@@ -535,17 +541,14 @@ def _fit_arrays(
         res = minimize(_factored_value_grad, Phi.ravel(), args=zero_args, jac=True,
                        method="L-BFGS-B", options=lbfgs_opts)
         Phi, total_iters = res.x.reshape(p, hcols), int(res.nit)
+    obj = _finite_start(_factored_value_grad(Phi.ravel(), *zero_args)[0])
     empty = (np.zeros((mcols, 0)), np.zeros(0), np.zeros((hcols, 0)))
     if max(_residuals_from_svd(*empty, P, F, n, lam, kappa, loss, W, R, Phi, tol)) <= tol:
-        obj = _factored_value_grad(Phi.ravel(), *zero_args)[0]
         return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], total_iters, 0, Phi
 
     args = (P, F, n, k, lam, kappa, loss, W, R)
     x = np.concatenate([U.ravel(), V.ravel(), Phi.ravel()])
-    obj, _ = _factored_value_grad(x, *args)
-    if not np.isfinite(obj):
-        raise NumericalError(f"objective is not finite at the initial point ({obj})")
-    trace = [obj]
+    trace = [_finite_start(_factored_value_grad(x, *args)[0])]
     for sweeps in range(1, opts.max_outer + 1):
         res = minimize(_factored_value_grad, x, args=args, jac=True, method="L-BFGS-B",
                        options=lbfgs_opts)

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import DELETE, edited
 
+from lrforecast import serialize
 from lrforecast.baselines import StateSpaceModel
 from lrforecast.core import TimeSeries
 from lrforecast.evaluation import SWEEP_CSV_COLUMNS, SweepRow
@@ -250,6 +252,135 @@ def test_series_csv_round_trip_property(tmp_path_factory, data, T, n, t0, includ
     assert back.values.tobytes() == values.tobytes()
     assert back.names == names
     assert back.t0 == (t0 if include_t else 1)
+
+
+# cells the canonical reader must hand to the csv.reader path: padding,
+# underscores, non-ASCII digits, quotes, nan and overflow
+ODD_CELLS = ["1_0", "\u0661\u0662", "\xa01", "1\x1c", "1\x85", "1\x0c", " 1", '""', '"4"',
+             "nan", "1e999", "9223372036854775808"]
+# t cells int() refuses, or that int64 cannot hold
+ODD_T = ["1.0", "1e5", "9223372036854775808"]
+
+
+def read_outcome(path, exact=False):
+    """What read_series_csv makes of a file: the series' exact bytes, or its
+    error and message; with exact, the csv.reader path alone reads it."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if exact:
+            mp.setattr(serialize, "_read_canonical", lambda text: None)
+        try:
+            s = read_series_csv(path)
+        except (ValueError, csv.Error) as e:
+            return type(e), str(e)
+    return s.values.tobytes(), s.values.shape, s.names, s.t0, type(s.t0)
+
+
+@st.composite
+def series_csv_text(draw):
+    """CSV text near the canonical form: "%.17g" cells, consecutive t and CRLF
+    or LF line ends, and in half the files also odd cells and t, lone CRs,
+    blank lines, and short and long rows.  t may wrap as int64 does, from
+    2**63 - 1 to -2**63, and a BOM may lead."""
+    noisy = draw(st.booleans())
+
+    def pick(usual, odd):
+        return draw(st.sampled_from(usual * 8 + odd if noisy else usual))
+
+    n, has_t, wrap = draw(st.integers(1, 3)), draw(st.booleans()), draw(st.booleans())
+    t0 = draw(st.sampled_from([1, -7, 0, 2**63 - 2]))
+    canonical = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x)
+    ends = ["\r\n", "\n"]
+    text = draw(st.sampled_from(["", "\ufeff"]))
+    text += ",".join(["t"] * has_t + [f"x{j}" for j in range(n)]) + pick(ends, ["\r"])
+    for i in range(draw(st.integers(0, 4))):
+        t = t0 + i - 2**64 * (wrap and t0 + i >= 2**63)
+        cells = [pick([str(t)], ODD_T)] if has_t else []
+        cells += [pick([draw(canonical)], ODD_CELLS) for _ in range(n + pick([0], [-1, 1]))]
+        text += ",".join(cells) + pick(ends, ["\r"]) * pick([1], [0, 2])
+    return text + pick(ends, ["\r"]) * pick([0], [1, 2])
+
+
+def write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=series_csv_text())
+def test_canonical_reader_matches_csv_reader_property(tmp_path_factory, text):
+    # the np.loadtxt path returns what the csv.reader path returns, bit for
+    # bit, or leaves the file to it, so every error message is its own
+    path = str(tmp_path_factory.mktemp("csv") / "x.csv")
+    write_text(path, text)
+    assert read_outcome(path) == read_outcome(path, exact=True)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"t,a,b\r\n1,0.5,{cell}\r\n2,{cell},1\r\n" for cell in ODD_CELLS]
+    + [f"t,a\r\n{t},0.5\r\n" for t in ODD_T]
+    + [
+        "t,a\r\n9223372036854775807,1\r\n-9223372036854775808,2\r\n",
+        "t,a\n1,0.5\n2,1e-300\n",
+        "t,a\r1,0.5\r2,-0\r",
+        "t,a\n1,0.5\r\n2,.5\r3,+5.\n",
+        "t,a\r\n1,0.5\r\n\r\n2,1\r\n",
+        "t,a\r\n1,0.5\r\n2,1\r\n\r\n\n",
+        "t,a\r\n\r\n",
+        "t,a\r\n",
+        "t,a,b\r\n1,0.5\r\n",
+        "t,a\r\n1,0.5,7\r\n",
+        "t,a\r\n1,\r\n",
+        "\ufefft,a\r\n-3,0.5\r\n",
+        "a,b\r\n1e5,-2.5E-3\r\n",
+        '"t",a\r\n1,2\r\n',
+        "t,a\r\r\n1,2\r\n",
+        "t\r\n1\r\n",
+        # csv.reader refuses a NUL before Python 3.11, and a field longer
+        # than its limit, 131072 characters
+        "t,a\x00\r\n1,2\r\n",
+        pytest.param("t,a\r\n1," + "0" * 131072 + "1\r\n", id="field-over-csv-limit"),
+    ],
+)
+def test_canonical_reader_matches_csv_reader(tmp_path, text):
+    path = str(tmp_path / "x.csv")
+    write_text(path, text)
+    assert read_outcome(path) == read_outcome(path, exact=True)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t,a\r\n1, 0.5\r\n", "t,a\r\n1,1_0\r\n", 't,a\r\n1,"4"\r\n', "t,a\r\n1,nan\r\n",
+     't,"a"\r\n1,2\r\n', "t,a\r1,2\r", "t,a\r\n1,2\r\n\r\n", "t,a\r\n1,2\x0c\r\n"],
+)
+def test_non_canonical_text_is_left_to_the_csv_reader(text):
+    # padding, underscores, quotes, letters, lone CRs and blank lines: the
+    # csv.reader path reads these, even where loadtxt would agree with it
+    assert serialize._read_canonical(text) is None
+
+
+def test_canonical_files_take_the_fast_path(tmp_path, monkeypatch):
+    # every file the writers make is canonical: were the csv.reader path
+    # taken, these would raise
+    def refuse(*args):
+        raise AssertionError("canonical file read by the csv.reader path")
+
+    monkeypatch.setattr(serialize, "_parse_body", refuse)
+    monkeypatch.setattr(serialize, "_raise_first_error", refuse)
+    path = str(tmp_path / "x.csv")
+    for series in [awkward_series(t0=-5), TimeSeries([[2.5]], t0=0),
+                   TimeSeries(AWKWARD.reshape(1, -1), t0=10**15)]:
+        write_series_csv(path, series)
+        back = read_series_csv(path)
+        assert back.values.tobytes() == series.values.tobytes() and back.t0 == series.t0
+        write_matrix_csv(path, series.values, series.column_names(),
+                         t_index=np.arange(series.T) - 3)
+        back = read_series_csv(path)
+        assert back.values.tobytes() == series.values.tobytes() and back.t0 == -3
+        _write_csv(path, series.column_names(), series.values)  # no t column
+        back = read_series_csv(path)
+        assert back.values.tobytes() == series.values.tobytes() and back.t0 == 1
 
 
 def test_matrix_csv_needs_one_t_per_row(tmp_path):

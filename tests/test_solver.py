@@ -996,14 +996,25 @@ def test_penalties_must_be_finite_and_nonnegative(rng, lam, kappa):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
 def test_overflowing_objective_raises_numerical_error(kappa):
-    # the loss of F ~ 1e154 overflows while its gradient stays finite, so the
-    # zero start's certificate runs and fails, and each engine's own check
-    # refuses the start (at F ~ 1e200 the gradient overflows too, and whether
-    # the certificate's eigvalsh raises first depends on the instance)
+    # the loss of F ~ 1e154 overflows while its gradient stays finite; each
+    # engine refuses the zero start before its certificate runs
     rng = np.random.default_rng(0)
     data = WindowedDataset(P=rng.normal(size=(200, 6)),
                            F=1e154 * (1.0 + rng.uniform(size=(200, 4))), n=2, M=3, H=2)
     with pytest.raises(NumericalError, match="objective is not finite at the initial point"):
+        fit_factored(data, 1.0, kappa, opts=FitOptions(k=2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_overflowing_gradient_is_refused_before_the_certificate(kappa):
+    # at F ~ 1e155 the gradient overflows too, and a certificate taken there
+    # meets eigvalsh's LinAlgError or a NaN; the start's objective is refused first
+    rng = np.random.default_rng(1)
+    data = WindowedDataset(P=rng.normal(size=(200, 6)),
+                           F=1e155 * rng.normal(size=(200, 4)), n=2, M=3, H=2)
+    with mock.patch.object(solver, "_kkt_residuals", side_effect=AssertionError("certificate")), \
+            pytest.raises(NumericalError, match="objective is not finite at the initial point"):
         fit_factored(data, 1.0, kappa, opts=FitOptions(k=2))
 
 
