@@ -25,7 +25,7 @@ import numpy as np
 
 from .baselines import _ridge_solve
 from .core import TimeSeries, WindowedDataset, _is_number, center
-from .objective import Loss
+from .objective import Loss, Weights
 from .solver import FitOptions, FitReport, LowRankForecaster, _fit_design, _widen
 
 
@@ -262,7 +262,7 @@ def aux_joint_fit(
     lam: float,
     kappa: float = 0.0,
     loss: Loss = Loss(),
-    W: np.ndarray | None = None,
+    W: Weights | None = None,
     opts: FitOptions | None = None,
     joint_nuclear: bool = True,
     means: np.ndarray | None = None,

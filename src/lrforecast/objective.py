@@ -2,9 +2,9 @@
 
 The training loss is the average of a per-window penalty applied to the
 forecast residual matrix Fhat - F (N x Hn).  Three penalties are supported:
-squared Euclidean, absolute (l1), and elementwise Huber.  An optional
-nonnegative weight matrix W is applied inside the penalty, elementwise on
-the residual.
+squared Euclidean, absolute (l1), and elementwise Huber.  Optional
+nonnegative weights W = (a, b), a over windows and b over forecast columns,
+scale residual entry (i, j) by a_i b_j inside the penalty.
 
 The consistency penalty measures how far a forecast matrix is from being
 block Hankel: forecasts of the same future value made from different
@@ -25,6 +25,7 @@ SQUARED_L2 = "squared_l2"
 L1 = "l1"
 HUBER = "huber"
 _KINDS = (SQUARED_L2, L1, HUBER)
+Weights = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,16 @@ def huber(delta: float = 1.0) -> Loss:
     return Loss(kind=HUBER, delta=delta)
 
 
-def _check_weights(W: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    W = np.asarray(W, dtype=float)
-    if W.shape != shape:
-        raise ValueError(f"weight matrix has shape {W.shape}, expected {shape}")
-    if not 0.0 <= W.min() <= W.max() < np.inf:  # a NaN fails every comparison
+def _check_weights(W: Weights, shape: tuple[int, int]) -> Weights:
+    """W = (a, b) as two float vectors of lengths shape = (N, Hn)."""
+    # an N x Hn ndarray is refused whole, even one of two rows
+    pair = isinstance(W, (tuple, list)) and len(W) == 2
+    a, b = (np.asarray(v, dtype=float) for v in W) if pair else (np.empty((0, 0)),) * 2
+    if (a.shape, b.shape) != ((shape[0],), (shape[1],)):
+        raise ValueError(f"weights must be a pair (a, b) of shapes ({shape[0]},) and ({shape[1]},)")
+    if not all(0.0 <= v.min() <= v.max() < np.inf for v in (a, b)):  # NaN fails every comparison
         raise ValueError("weights must be finite and nonnegative")
-    return W
+    return a, b
 
 
 def _elementwise_penalty(U: np.ndarray, loss: Loss) -> np.ndarray:
@@ -88,7 +92,7 @@ def _elementwise_penalty_grad(U: np.ndarray, loss: Loss) -> np.ndarray:
 
 
 def _loss_value_grad(
-    Fhat: np.ndarray, F: np.ndarray, loss: Loss, W: np.ndarray | None
+    Fhat: np.ndarray, F: np.ndarray, loss: Loss, W: Weights | None
 ) -> tuple[float, np.ndarray]:
     # one residual and one weight check for both halves; the gradient is
     # taken before the squared l2 penalty squares the residual in place
@@ -99,25 +103,27 @@ def _loss_value_grad(
     R = Fhat - F
     N = R.shape[0]
     if W is not None:
-        W = _check_weights(W, R.shape)
-        R = W * R
+        a, b = _check_weights(W, R.shape)
+        R *= a[:, None]
+        R *= b
     G = _elementwise_penalty_grad(R, loss)
-    G = G / N if W is None else W * G / N
+    G = G / N if W is None else a[:, None] * G * b / N
     return float(_elementwise_penalty(R, loss).sum() / N), G
 
 
 def loss_value(
-    Fhat: np.ndarray, F: np.ndarray, loss: Loss = Loss(), W: np.ndarray | None = None
+    Fhat: np.ndarray, F: np.ndarray, loss: Loss = Loss(), W: Weights | None = None
 ) -> float:
     """Average per-window penalty of the residual, (1/N) sum_i l(row_i).
 
-    With weights, the penalty is applied to W * (Fhat - F) elementwise.
+    With weights W = (a, b), the penalty is applied to the residual with
+    entry (i, j) scaled by a_i b_j.
     """
     return _loss_value_grad(Fhat, F, loss, W)[0]
 
 
 def loss_grad(
-    Fhat: np.ndarray, F: np.ndarray, loss: Loss = Loss(), W: np.ndarray | None = None
+    Fhat: np.ndarray, F: np.ndarray, loss: Loss = Loss(), W: Weights | None = None
 ) -> np.ndarray:
     """Gradient of loss_value with respect to Fhat (N x Hn)."""
     return _loss_value_grad(Fhat, F, loss, W)[1]
@@ -176,17 +182,16 @@ def inconsistency_grad(Z: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * (Z - hankel_project(Z, n))
 
 
-def build_weights(h_t: float, h_tau: float, w_col: np.ndarray, N: int, H: int) -> np.ndarray:
-    """Exponential recency weights for the N x Hn residual matrix.
+def build_weights(h_t: float, h_tau: float, w_col: np.ndarray, N: int, H: int) -> Weights:
+    """Exponential recency weights (a, b) for the N x Hn residual matrix.
 
     Window i (0-indexed) predicts h = 1..H steps past its origin; its block
     at horizon h targets the step N - 1 - i + H - h before the last target
-    of the last window (the end of the source series).  The weight on that
-    block's entries is
+    of the last window (the end of the source series).  Entry j of that
+    block is weighted a_i b_(h, j), with base_x = exp(log(0.5) / h_x):
 
-        w = exp(log(0.5) / h_t) ** h                      (horizon decay)
-          * exp(log(0.5) / h_tau) ** (N - 1 - i + H - h)  (recency decay)
-          * w_col                                         (per-coordinate weights)
+        a_i      = base_tau ** (N - 1 - i)                        (window recency)
+        b_(h, j) = base_t ** h * base_tau ** (H - h) * w_col[j]   (horizon, coordinate)
 
     so h_t and h_tau are half-lives measured in steps.  w_col must be
     finite and nonnegative.
@@ -198,11 +203,8 @@ def build_weights(h_t: float, h_tau: float, w_col: np.ndarray, N: int, H: int) -
     w_col = np.asarray(w_col, dtype=float).reshape(-1)
     if not np.all((w_col >= 0) & (w_col < np.inf)):
         raise ValueError(f"w_col must be finite and nonnegative, got {w_col.tolist()}")
-    n = w_col.shape[0]
     base_t = np.exp(np.log(0.5) / h_t)
     base_tau = np.exp(np.log(0.5) / h_tau)
     horizons = np.arange(1, H + 1)
-    ago = (N - 1 - np.arange(N))[:, None] + (H - horizons)[None, :]  # N x H
-    w_block = base_t ** horizons[None, :] * base_tau ** ago
-    W = w_block[:, :, None] * w_col[None, None, :]
-    return W.reshape(N, H * n)
+    b = (base_t ** horizons * base_tau ** (H - horizons))[:, None] * w_col[None, :]
+    return base_tau ** (N - 1 - np.arange(N)), b.ravel()

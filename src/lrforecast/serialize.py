@@ -10,13 +10,15 @@ doubles.  Fields are comma separated and every line ends in CRLF.
 Series CSVs are read as csv.reader reads them, so quoted fields and CR,
 LF or CRLF line ends are accepted, as is a leading UTF-8 byte order mark.
 Cells are parsed as int() (the t index) and float() (values) parse them,
-which accept surrounding whitespace and digit underscores.  A wrong field
-count, a non-consecutive t, or a value that is not a finite number is
-rejected with a ValueError naming the first offending line.  A canonical
-file, as the writers make it, is parsed in C by np.loadtxt; any other
-file, and any file that fails a check there, is read again by csv.reader
-and int()/float(), the only source of values for such files and of error
-messages, so the accepted inputs and messages are those of that path.
+which accept surrounding whitespace and digit underscores.  A line
+csv.reader refuses (a field over csv.field_size_limit(), or a NUL byte
+before Python 3.11), a wrong field count, a non-consecutive t, or a value
+that is not a finite number is rejected with a ValueError naming the
+first offending line.  A canonical file, as the writers make it, is
+parsed in C by np.loadtxt; any other file, and any file that fails a
+check there, is read again by csv.reader and int()/float(), the only
+source of values for such files and of error messages, so the accepted
+inputs and messages are those of that path.
 
 This is the only module that reads or writes JSON.  Documents are dumped
 with sorted keys and a fixed indent, so identical inputs give identical
@@ -96,7 +98,11 @@ def read_series_csv(path: str) -> TimeSeries:
     if series is not None:
         return series
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as e:
+            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]

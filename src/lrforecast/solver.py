@@ -14,14 +14,14 @@ theta = U V (U: Mn x k, V: k x Hn), replacing the nuclear norm with
 makes the factored problem agree with the convex one at optimum once k is
 at least the optimal rank.
 
-Two engines fit the factors.  For squared l2 at kappa = 0 with lam > 0
-and W absent or rank one (W = a b^T), the objective sees the data only
-through Gram statistics of the design, so the fit alternates exact
-closed-form solves over V and U whose cost does not depend on N
-(softImpute-ALS on the variational nuclear norm), and stops on the KKT
-certificate of optimality_residuals, evaluated from the same statistics.
-Every other fit (kappa > 0, Huber, l1 through its Huber smoothing, a W
-that is not rank one, lam = 0) minimizes over all factors at once with
+Two engines fit the factors, chosen by the problem's type alone.  For
+squared l2 at kappa = 0 with lam > 0, weighted by W = (a, b) or not, the
+objective sees the data only through Gram statistics of the design, so
+the fit alternates exact closed-form solves over V and U whose cost does
+not depend on N (softImpute-ALS on the variational nuclear norm), and
+stops on the KKT certificate of optimality_residuals, evaluated from the
+same statistics.  Every other fit (kappa > 0, Huber, l1 through its
+Huber smoothing, lam = 0) minimizes over all factors at once with
 limited-memory BFGS, as in the Burer-Monteiro factored method, and stops
 when the objective stalls between restarts (_stalled).
 
@@ -40,7 +40,8 @@ from scipy.optimize import minimize
 
 from .core import WindowedDataset, _is_number
 from .objective import (
-    L1, SQUARED_L2, Loss, _check_weights, _loss_value_grad, hankel_project, huber, loss_grad,
+    L1, SQUARED_L2, Loss, Weights, _check_weights, _loss_value_grad, hankel_project, huber,
+    loss_grad,
 )
 
 # a fit is converged, certified optimal, when max(r1, r2, r3) <= CERT_TOL * lam
@@ -266,7 +267,7 @@ def main_objective(
     lam: float,
     kappa: float = 0.0,
     loss: Loss = Loss(),
-    W: np.ndarray | None = None,
+    W: Weights | None = None,
 ) -> float:
     """Value of the convex problem: loss + lam * nuclear + kappa * inconsistency."""
     val, _ = _forecast_value_grad(data.P @ theta, data.F, data.n, loss, W, kappa)
@@ -278,7 +279,7 @@ def _forecast_value_grad(
     F: np.ndarray,
     n: int,
     loss: Loss,
-    W: np.ndarray | None,
+    W: Weights | None,
     kappa: float,
 ) -> tuple[float, np.ndarray]:
     # smooth data terms and their gradient in Fhat
@@ -292,7 +293,7 @@ def _forecast_value_grad(
 
 def _factored_value_grad(
     x: np.ndarray, P: np.ndarray, F: np.ndarray, n: int, k: int, lam: float, kappa: float,
-    loss: Loss, W: np.ndarray | None, R: np.ndarray,
+    loss: Loss, W: Weights | None, R: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Factored objective and its gradient at x = [U; V; Phi], raveled.
 
@@ -311,31 +312,18 @@ def _factored_value_grad(
     return val + 0.5 * lam * float(x @ x), grad + lam * x
 
 
-def _smooth_l1(F: np.ndarray, W: np.ndarray | None) -> tuple[Loss, np.ndarray]:
+def _smooth_l1(F: np.ndarray, W: Weights | None) -> tuple[Loss, Weights]:
     """The (loss, W) pair that stands in for l1 in the L-BFGS solve.
 
     With d = 1e-4 * (std(F) or 1) and c = 1/sqrt(2d), huber(c d) applied
-    to c W * r is |r| - d/2 where |r| > d and r^2 / (2d) inside, so the
-    smoothed loss lies within Hn d / 2 below the l1 loss.
+    to c a_i b_j r_ij is |r| - d/2 where |r| > d and r^2 / (2d) inside, so
+    the smoothed loss lies within Hn d / 2 below the l1 loss.  The returned
+    weights are (c a, b), with a and b ones without W.
     """
     d = 1e-4 * (float(np.std(F)) or 1.0)
     c = 1.0 / math.sqrt(2.0 * d)
-    return huber(c * d), c * (np.ones(F.shape) if W is None else W)
-
-
-def _rank_one_weights(
-    W: np.ndarray, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(a, b) with W = a b^T to within 1e-12 of max W, or None when W is not rank one."""
-    W = _check_weights(W, shape)
-    i, j = np.unravel_index(np.argmax(W), W.shape)
-    wmax = float(W[i, j])
-    if wmax == 0.0:
-        return None
-    a, b = W[:, j] / wmax, W[i]
-    if np.max(np.abs(W - np.outer(a, b))) > 1e-12 * wmax:
-        return None
-    return a, b
+    a, b = (np.ones(F.shape[0]), np.ones(F.shape[1])) if W is None else _check_weights(W, F.shape)
+    return huber(c * d), (c * a, b)
 
 
 def _stalled(trace: list[float]) -> bool:
@@ -380,7 +368,7 @@ def _gram_fit(
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
     """Exact alternating block solves on Gram statistics, stopped by the KKT certificate.
 
-    With W = a b^T (weights = (a, b), both ones without W) the loss
+    With weights = (a, b) (both ones without W) the loss
     (1/N) ||D_a (P theta + R Phi - F) D_b||_F^2 sees the data only through
     [P, R]^T D_a^2 [P, R], [P, R]^T D_a^2 F and ||D_a F D_b||_F^2, formed
     once; the sweeps run in the eigenbasis of G = P^T D_a^2 P.  The V-step
@@ -473,15 +461,16 @@ def _gram_fit(
 
 def _fit_arrays(
     P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
-    W: np.ndarray | None, opts: FitOptions, R: np.ndarray,
+    W: Weights | None, opts: FitOptions, R: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
     """Fits the factored objective at width k. Returns raw factors.
 
-    Squared l2 at kappa = 0 with lam > 0 and W absent or rank one runs
-    _gram_fit's exact alternating solves.  Every other fit minimizes
-    _factored_value_grad over all of x = [U; V; Phi]: a sweep is one
-    L-BFGS-B solve restarted from the last iterate, and the fit ends once
-    a sweep lowers the objective by at most STALL_TOL relative (_stalled).
+    Squared l2 at kappa = 0 with lam > 0 runs _gram_fit's exact alternating
+    solves, weighted or not; the route reads the problem's type, never W's
+    values.  Every other fit minimizes _factored_value_grad over all of
+    x = [U; V; Phi]: a sweep is one L-BFGS-B solve restarted from the last
+    iterate, and the fit ends once a sweep lowers the objective by at most
+    STALL_TOL relative (_stalled).
     l1 is swapped for _smooth_l1's smoothing at entry.  Both engines share
     the validation and the initial factors, and one zero rule, the zero
     start: before sweep 1 the engine fits Phi alone at theta = 0 (_gram_fit
@@ -520,10 +509,10 @@ def _fit_arrays(
     if loss.kind == L1:
         loss, W = _smooth_l1(F, W)
 
-    # W = a b^T (or no W) keeps squared l2 at kappa = 0 a function of Gram statistics
+    # W = (a, b), or no W, keeps squared l2 at kappa = 0 a function of Gram statistics
     weights = None
     if loss.kind == SQUARED_L2 and kappa == 0.0 and lam > 0:
-        weights = (np.ones(N), np.ones(hcols)) if W is None else _rank_one_weights(W, F.shape)
+        weights = (np.ones(N), np.ones(hcols)) if W is None else _check_weights(W, F.shape)
 
     # the warm start is widened to k by random columns; without one, all k are random
     rng = np.random.default_rng(opts.seed)
@@ -565,7 +554,7 @@ def _fit_arrays(
 
 def _fit_design(
     P: np.ndarray, data: WindowedDataset, lam: float, kappa: float, loss: Loss,
-    W: np.ndarray | None, opts: FitOptions, means: np.ndarray | None, R: np.ndarray,
+    W: Weights | None, opts: FitOptions, means: np.ndarray | None, R: np.ndarray,
 ) -> tuple[tuple[LowRankForecaster, np.ndarray], tuple[np.ndarray, np.ndarray], FitReport]:
     """Fits the design P to data.F at width opts.k; returns ((model, Phi), (U, V), report).
 
@@ -627,7 +616,7 @@ def fit_factored(
     lam: float,
     kappa: float = 0.0,
     loss: Loss = Loss(),
-    W: np.ndarray | None = None,
+    W: Weights | None = None,
     opts: FitOptions | None = None,
     means: np.ndarray | None = None,
 ) -> tuple[LowRankForecaster, FitReport]:
@@ -649,7 +638,7 @@ def fit_auto_rank(
     lam: float,
     kappa: float = 0.0,
     loss: Loss = Loss(),
-    W: np.ndarray | None = None,
+    W: Weights | None = None,
     opts: FitOptions | None = None,
     means: np.ndarray | None = None,
 ) -> tuple[LowRankForecaster, FitReport]:
@@ -677,7 +666,7 @@ def lambda_max(
     P: np.ndarray,
     F: np.ndarray,
     loss: Loss = Loss(),
-    W: np.ndarray | None = None,
+    W: Weights | None = None,
 ) -> float:
     """Smallest nuclear-norm weight at which theta = 0 is optimal.
 
@@ -688,8 +677,8 @@ def lambda_max(
     forecast matrix is block Hankel, so the distance gradient vanishes at
     0 for any kappa, so the bound takes no kappa.
     For the squared l2 loss this is (2/N) ||P^T F||_2.  For l1 the
-    gradient is the subgradient G0 = loss_grad(0, F, l1, W), 0 where an
-    entry of W * F is 0: ||P^T G0||_2 is exact when no entry is 0, and an
+    gradient is the subgradient G0 = loss_grad(0, F, l1, W), 0 where
+    a_i b_j F_ij is 0: ||P^T G0||_2 is exact when no entry is 0, and an
     upper bound on the threshold otherwise.  It scales alpha; no fit calls it.
     """
     tol, max_iters = 1e-12, 50000
@@ -718,7 +707,7 @@ def lambda_max(
 def _residuals_from_svd(
     U_theta: np.ndarray, sigma: np.ndarray, V_theta: np.ndarray,
     P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
-    W: np.ndarray | None, R: np.ndarray, Phi: np.ndarray, r1_gate: float = math.inf,
+    W: Weights | None, R: np.ndarray, Phi: np.ndarray, r1_gate: float = math.inf,
 ) -> tuple[float, float, float]:
     # the forecast adds the ridge block's R Phi (N x p times p x Hn, p >= 0),
     # and Phi's condition joins r2
@@ -734,7 +723,7 @@ def optimality_residuals(
     lam: float,
     kappa: float = 0.0,
     loss: Loss = Loss(),
-    W: np.ndarray | None = None,
+    W: Weights | None = None,
 ) -> tuple[float, float, float]:
     """Violations of the first-order conditions of the convex problem.
 
@@ -768,7 +757,7 @@ def svt_reference_solve(
     lam: float,
     kappa: float = 0.0,
     loss: Loss = Loss(),
-    W: np.ndarray | None = None,
+    W: Weights | None = None,
     tol: float = 1e-8,
     max_iters: int = 100000,
 ) -> np.ndarray:

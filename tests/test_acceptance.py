@@ -118,7 +118,7 @@ def test_c1_gradients_match_finite_differences():
             loss = Loss(kind=HUBER, delta=0.25 if i % 2 else 4.0)
         else:
             loss = Loss(kind=kind)
-        W = rng.uniform(0.5, 2.0, size=(N, hn)) if i % 2 else None
+        W = (rng.uniform(0.5, 2.0, size=N), rng.uniform(0.5, 2.0, size=hn)) if i % 2 else None
         g = loss_grad(Fhat, F, loss, W)
         gfd = _fd(lambda: loss_value(Fhat, F, loss, W), Fhat)
         worst_loss = max(worst_loss, _rel(gfd, g))
@@ -142,7 +142,7 @@ def test_c1_gradients_match_finite_differences():
         kind = kinds[i % 3]
         kap = [0.0, 0.5, 2.0][(i // 3) % 3]
         lam = [0.0, 0.45, 1.7][(i // 9) % 3]
-        W = rng.uniform(0.5, 2.0, size=F.shape) if i % 2 else None
+        W = (rng.uniform(0.5, 2.0, size=N), rng.uniform(0.5, 2.0, size=h * n)) if i % 2 else None
         if kind != SQUARED_L2:
             R = P @ U @ V - F
             F = F - 0.6 * np.where(R >= 0, 1.0, -1.0)  # push residuals off kinks

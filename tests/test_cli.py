@@ -334,6 +334,16 @@ def test_fit_rejects_non_finite_weight_col(small, tmp_path, capsys, bad):
     assert not model.exists()
 
 
+def test_fit_rejects_a_cell_over_the_csv_field_limit(tmp_path, capsys):
+    # csv.reader's refusal is an input error naming the line, not a traceback
+    train, model = tmp_path / "big.csv", tmp_path / "m.json"
+    train.write_text("t,x\n1,0.5\n2," + "1" * 140000 + "\n")
+    assert run("fit", "--train", train, "--M", 1, "--H", 1, "--lambda", 1,
+               "--model-out", model, "--report-out", tmp_path / "r.json") == 2
+    assert "line 3: field larger than field limit" in capsys.readouterr().err
+    assert not model.exists()
+
+
 # ------------------------------------------------------------------- forecast
 
 

@@ -226,8 +226,9 @@ def test_weighted_loss_value_and_grad(rng):
         loss = huber(0.8) if kind == HUBER else Loss(kind=kind)
         Fhat = rng.normal(size=(5, 6)) * 2.0
         F = rng.normal(size=(5, 6))
-        W = rng.uniform(0.2, 2.0, size=(5, 6))
-        ref = loss_value(W * Fhat, W * F, loss)  # penalty applied to W(Fhat - F)
+        W = rng.uniform(0.2, 2.0, size=5), rng.uniform(0.2, 2.0, size=6)
+        Wm = np.outer(*W)
+        ref = loss_value(Wm * Fhat, Wm * F, loss)  # penalty applied to a_i b_j (Fhat - F)_ij
         assert np.isclose(loss_value(Fhat, F, loss, W), ref, rtol=1e-14)
         if loss.differentiable:
             G = loss_grad(Fhat, F, loss, W)
@@ -237,9 +238,9 @@ def test_weighted_loss_value_and_grad(rng):
 
 def test_weight_shape_checked(rng):
     with pytest.raises(ValueError):
-        loss_value(np.zeros((3, 4)), np.zeros((3, 4)), Loss(), W=np.ones((4, 3)))
+        loss_value(np.zeros((3, 4)), np.zeros((3, 4)), Loss(), W=(np.ones(4), np.ones(3)))
     with pytest.raises(ValueError):
-        loss_value(np.zeros((3, 4)), np.zeros((3, 4)), Loss(), W=-np.ones((3, 4)))
+        loss_value(np.zeros((3, 4)), np.zeros((3, 4)), Loss(), W=(-np.ones(3), np.ones(4)))
 
 
 def test_loss_validation():
@@ -286,17 +287,18 @@ def test_build_weights_matches_oracle():
     N, M, H, n = 7, 3, 4, 2
     T = N + M + H - 1
     w_col = np.array([1.0, 2.5])
-    W = build_weights(5.0, 9.0, w_col, N, H)
-    assert np.allclose(W, weights_oracle(5.0, 9.0, w_col, N, M, H, T), rtol=1e-14)
+    a, b = build_weights(5.0, 9.0, w_col, N, H)
+    assert a.shape == (N,) and b.shape == (H * n,)
+    assert np.allclose(np.outer(a, b), weights_oracle(5.0, 9.0, w_col, N, M, H, T), rtol=1e-14)
 
 
 def test_weights_halve_per_half_life():
     # with an inert recency factor the horizon factor halves every h_t steps
     N, H = 3, 9
-    W = build_weights(4.0, 1e12, np.ones(1), N, H)
+    W = np.outer(*build_weights(4.0, 1e12, np.ones(1), N, H))
     assert np.allclose(W[:, 4] / W[:, 0], 0.5, rtol=1e-9)
     # and the most recent origin is favored when recency decays
-    W2 = build_weights(1e12, 3.0, np.ones(1), N, H)
+    W2 = np.outer(*build_weights(1e12, 3.0, np.ones(1), N, H))
     assert np.all(W2[-1] > W2[0])
 
 

@@ -67,7 +67,9 @@ def test_factored_gradients_match_fd(kind, kappa):
     for weighted, p in itertools.product((False, True), (0, 2)):
         data = rand_instance(rng, N=int(rng.integers(5, 15)))
         mcols, hcols = data.P.shape[1], data.F.shape[1]
-        W = rng.uniform(0.5, 1.5, size=data.F.shape) if weighted else None
+        W = None
+        if weighted:
+            W = rng.uniform(0.5, 1.5, size=data.N), rng.uniform(0.5, 1.5, size=hcols)
         R = rng.normal(size=(data.N, p))
         U = rng.normal(size=(mcols, k))
         V = rng.normal(size=(k, hcols))
@@ -389,7 +391,9 @@ def test_lambda_max_matches_dense_norm(rng):
     for loss in (Loss(), huber(0.4), Loss(kind=L1)):
         for with_w in (False, True):
             data = rand_instance(rng, N=18)
-            W = rng.uniform(0.5, 2.0, size=data.F.shape) if with_w else None
+            W = None
+            if with_w:
+                W = rng.uniform(0.5, 2.0, size=data.N), rng.uniform(0.5, 2.0, size=data.F.shape[1])
             G0 = loss_grad(np.zeros_like(data.F), data.F, loss, W)
             ref = np.linalg.svd(data.P.T @ G0, compute_uv=False)[0]
             got = lambda_max(data.P, data.F, loss, W=W)
@@ -720,24 +724,40 @@ def test_gram_path_ridge_block_matches_reference(monkeypatch, rng):
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
 def test_fit_rejects_weights_not_finite_and_nonnegative(rng, bad, kappa):
     data = rand_instance(rng)
-    W = np.ones(data.F.shape)
-    W[0, 0] = bad
+    W = np.ones(data.N), np.ones(data.F.shape[1])
+    W[0][0] = bad
     with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
         fit_factored(data, 0.1, kappa, W=W, opts=FitOptions(k=2))
 
 
-def test_weights_not_rank_one_take_lbfgs(monkeypatch, rng):
-    calls = count_lbfgs(monkeypatch)
-    data = rand_instance(rng, N=30)
-    W = rng.uniform(0.5, 1.5, size=data.F.shape)
-    lam = 0.3 * lambda_max(data.P, data.F, W=W)
-    model, _ = fit_factored(data, lam, W=W, opts=FitOptions(k=6, **GRAM_OPTS))
-    assert calls
-    ref = main_objective(svt_reference_solve(data, lam, W=W, tol=1e-12), data, lam, W=W)
-    obj = main_objective(model.theta(), data, lam, W=W)
-    # the L-BFGS path is held to acceptance check C3's bounds
-    assert abs(obj - ref) <= 1e-4 * abs(ref)
-    assert max(optimality_residuals(model.U, model.V, data, lam, W=W)) <= 1e-3 * lam
+WEIGHT_CALLERS = {
+    "loss_value": lambda data, W: loss_value(np.zeros_like(data.F), data.F, W=W),
+    "lambda_max": lambda data, W: lambda_max(data.P, data.F, W=W),
+    "fit_kappa_0": lambda data, W: fit_factored(data, 0.1, W=W, opts=FitOptions(k=1)),
+    "fit_kappa_0.5": lambda data, W: fit_factored(data, 0.1, 0.5, W=W, opts=FitOptions(k=1)),
+}
+
+
+@pytest.mark.parametrize("case", [
+    "matrix", "short_a", "long_b", *(f"{v}_{bad}" for v in "ab" for bad in ("nan", "inf", "-1")),
+])
+@pytest.mark.parametrize("caller", list(WEIGHT_CALLERS))
+def test_weights_must_be_a_finite_nonnegative_pair(caller, case):
+    # at N = Hn = 2 a 2 x 2 matrix would unpack into two rows of the right lengths
+    rng = np.random.default_rng(3)
+    for data in (rand_instance(rng, N=2, n=1, M=2, H=2), rand_instance(rng)):
+        N, hcols = data.F.shape
+        a, b = np.ones(N), np.ones(hcols)
+        W, match = (a, b), "finite and nonnegative"
+        if case in ("matrix", "short_a", "long_b"):
+            W = {"matrix": np.ones((N, hcols)), "short_a": (a[1:], b),
+                 "long_b": (a, np.ones(hcols + 1))}[case]
+            match = rf"\({N},\) and \({hcols},\)"
+        else:
+            name, bad = case.split("_")
+            (a if name == "a" else b)[0] = float(bad)
+        with pytest.raises(ValueError, match=match):
+            WEIGHT_CALLERS[caller](data, W)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -750,16 +770,20 @@ def test_weights_not_rank_one_take_lbfgs(monkeypatch, rng):
     weighted=st.booleans(),
 )
 def test_gram_path_agrees_with_reference_property(seed, n, M, H, frac, weighted):
+    # any nonnegative pair (a, b), zero entries included, keeps the Gram path:
+    # the route reads the problem's type, never W's values
     rng = np.random.default_rng(seed)
     N = 3 * M * n + 10
     data = rand_instance(rng, N=N, n=n, M=M, H=H)
     W = None
     if weighted:
-        W = build_weights(float(rng.uniform(1.0, 10.0)), float(rng.uniform(5.0, 50.0)),
-                          rng.uniform(0.5, 1.5, size=n), N, H)
+        W = tuple(rng.uniform(0.0, 2.0, size=m) * (rng.uniform(size=m) > 0.2) for m in (N, H * n))
+        for v in W:
+            v[rng.integers(v.size)] = 1.0  # lambda_max > 0
     lam = frac * lambda_max(data.P, data.F, W=W)
-    model, report = fit_auto_rank(data, lam, W=W, opts=FitOptions(**GRAM_OPTS))
-    assert report.converged
+    with mock.patch.object(solver, "minimize", wraps=minimize) as spy:
+        model, report = fit_auto_rank(data, lam, W=W, opts=FitOptions(**GRAM_OPTS))
+    assert not spy.called and report.converged
     ref = main_objective(svt_reference_solve(data, lam, W=W, tol=1e-12), data, lam, W=W)
     obj = main_objective(model.theta(), data, lam, W=W)
     assert_matches_reference(obj, ref, report.optimality_residuals, lam)
@@ -848,12 +872,9 @@ def _fit_on_path(path, data, rng):
     aux = rng.normal(size=(data.N, 2))
     if path == "gram_width_bound":
         return lam, fit_factored(data, lam, opts=FitOptions(k=1, max_outer=1000))[1]
-    if path == "rank_one_w":
+    if path == "weighted":
         W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), data.N, 3)
         lam = 0.1 * lambda_max(data.P, data.F, W=W)
-        return lam, fit_factored(data, lam, W=W, opts=opts)[1]
-    if path == "w_not_rank_one":
-        W = rng.uniform(0.5, 1.5, size=data.F.shape)
         return lam, fit_factored(data, lam, W=W, opts=opts)[1]
     if path in ("aux_joint", "aux_ridge"):
         return lam, aux_joint_fit(data, aux, lam, joint_nuclear=path == "aux_joint",
@@ -868,9 +889,9 @@ def _fit_on_path(path, data, rng):
 
 
 @pytest.mark.parametrize("path,expected", [
-    ("gram_certified", True), ("gram_width_bound", False), ("rank_one_w", None),
-    ("w_not_rank_one", None), ("kappa", None), ("huber", None), ("aux_joint", None),
-    ("aux_ridge", None), ("lambda_max_zero_exit", True), ("ridge_zero_exit", True),
+    ("gram_certified", True), ("gram_width_bound", False), ("weighted", None),
+    ("kappa", None), ("huber", None), ("aux_joint", None), ("aux_ridge", None),
+    ("lambda_max_zero_exit", True), ("ridge_zero_exit", True),
 ])
 def test_converged_is_the_certificate_on_every_path(path, expected):
     # converged has one definition, whichever engine or exit made the fit
@@ -903,7 +924,7 @@ def test_r1_lower_bound_keeps_every_decision(rng):
     assert skipped  # the bound is not vacuous
 
 
-# case: (engine, kappa, loss, rank-one W, aux design)
+# case: (engine, kappa, loss, weighted, aux design)
 ZERO_START_CASES = {
     "gram": ("gram", 0.0, Loss(), False, None),
     "gram_rank_one_w": ("gram", 0.0, Loss(), True, None),
@@ -1020,9 +1041,9 @@ def test_overflowing_gradient_is_refused_before_the_certificate(kappa):
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
 def test_all_zero_weights_fit_zero_at_the_zero_start(rng, kappa):
-    # a W of zeros is not rank one (_rank_one_weights' zero branch), and the
-    # gradient it leaves is 0, so the zero start certifies with no sweep
+    # a = 0 weighs every window out, and the gradient it leaves is 0, so the
+    # zero start certifies with no sweep
     data = rand_instance(rng, N=20)
-    model, report = fit_factored(data, 0.1, kappa, W=np.zeros(data.F.shape),
-                                 opts=FitOptions(k=2))
+    W = np.zeros(data.N), np.ones(data.F.shape[1])
+    model, report = fit_factored(data, 0.1, kappa, W=W, opts=FitOptions(k=2))
     assert model.rank == 0 and report.sweeps == 0 and report.converged
