@@ -7,7 +7,7 @@ origins.  Includes statistical baselines, a synthetic data generator, an
 evaluation/sweep harness, and a CSV/JSON command line interface.
 """
 
-from .core import TimeSeries, WindowedDataset, build_windows, center, is_block_hankel
+from .core import TimeSeries, WindowedDataset, build_windows, center
 from .objective import (
     HUBER,
     L1,
@@ -41,9 +41,7 @@ from .baselines import (
     ar_fit,
     ar_iterated_forecaster,
     cond_mean_forecaster,
-    empirical_autocov,
     empirical_forecaster,
-    mean_forecaster,
     ridge_fit,
     ss_autocov,
     ss_forecaster,
@@ -64,32 +62,28 @@ from .features import (
 )
 from .simgen import SimSpec, gen_model, sample, state_alignment
 from .evaluation import (
-    CVResult,
     EvalResult,
     SweepRow,
     SweepTable,
     evaluate,
     evaluate_forecasts,
     sweep,
-    walk_forward_cv,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeSeries", "WindowedDataset", "build_windows", "center", "is_block_hankel",
+    "TimeSeries", "WindowedDataset", "build_windows", "center",
     "Loss", "SQUARED_L2", "L1", "HUBER", "huber", "loss_value", "loss_grad",
     "hankel_project", "inconsistency", "inconsistency_grad", "build_weights",
     "FitOptions", "FitReport", "LowRankForecaster", "NumericalError",
     "fit_factored", "fit_auto_rank", "lambda_max", "main_objective",
     "nuclear_norm", "optimality_residuals", "reduce_rank", "svt_reference_solve",
-    "StateSpaceModel", "AutocovSet", "ridge_fit", "empirical_autocov",
-    "empirical_forecaster", "cond_mean_forecaster", "ar_fit", "ar_iterated_forecaster",
-    "stationary_cov", "ss_autocov", "ss_forecaster", "zero_forecaster", "mean_forecaster",
-    "to_low_rank",
+    "StateSpaceModel", "AutocovSet", "ridge_fit", "empirical_forecaster",
+    "cond_mean_forecaster", "ar_fit", "ar_iterated_forecaster", "stationary_cov",
+    "ss_autocov", "ss_forecaster", "zero_forecaster", "to_low_rank",
     "FeatureSpec", "ModelBundle", "TrendModel", "time_features", "detrend_fit", "detrend_apply",
     "retrend", "aux_joint_fit", "latent_ar_fit",
     "SimSpec", "gen_model", "sample", "state_alignment",
-    "EvalResult", "SweepRow", "SweepTable", "CVResult",
-    "evaluate", "evaluate_forecasts", "sweep", "walk_forward_cv",
+    "EvalResult", "SweepRow", "SweepTable", "evaluate", "evaluate_forecasts", "sweep",
 ]

@@ -146,17 +146,6 @@ def _spd_cholesky(G: np.ndarray, msg: str) -> np.ndarray:
     return chol
 
 
-def empirical_autocov(data: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Windowed second moments: ((1/N) P^T P, (1/N) F^T P).
-
-    The first is the past-window Gram matrix (Mn x Mn); the second is the
-    future/past cross moment in (Hn x Mn) orientation, so the least-squares
-    forecaster is theta = sigma_pp^{-1} sigma_fp^T.
-    """
-    N = data.N
-    return data.P.T @ data.P / N, data.F.T @ data.P / N
-
-
 def empirical_forecaster(
     data: WindowedDataset, means: np.ndarray | None = None
 ) -> LowRankForecaster:
@@ -353,13 +342,6 @@ def ss_forecaster(
 def zero_forecaster(n: int, M: int, H: int, means: np.ndarray | None = None) -> LowRankForecaster:
     """Predicts zero for every centered coordinate (the stored means raw)."""
     return to_low_rank(np.zeros((M * n, H * n)), n, M, H, means)
-
-
-def mean_forecaster(series: TimeSeries | np.ndarray, M: int, H: int) -> LowRankForecaster:
-    """Predicts the per-coordinate training mean at every horizon."""
-    if not isinstance(series, TimeSeries):
-        series = TimeSeries(series)
-    return zero_forecaster(series.n, M, H, means=series.values.mean(axis=0))
 
 
 def to_low_rank(

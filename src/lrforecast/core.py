@@ -138,26 +138,6 @@ def build_windows(series: TimeSeries | np.ndarray, M: int, H: int) -> WindowedDa
     return WindowedDataset(P=P, F=F, n=n, M=M, H=H)
 
 
-def is_block_hankel(Z: np.ndarray, n: int, tol: float = 0.0) -> bool:
-    """True when consecutive rows of Z are n-column shifts of each other.
-
-    Z is read as rows of width-n blocks; the matrix is block Hankel when
-    block (i+1, j) equals block (i, j+1), i.e. every anti-diagonal of blocks
-    is constant.  Blocks may differ by at most tol in max-norm.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError("Z must be 2-D")
-    if n < 1 or Z.shape[1] % n != 0:
-        raise ValueError(f"block width n={n} must divide column count {Z.shape[1]}")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if Z.shape[0] <= 1 or Z.shape[1] == n:
-        return True
-    diff = Z[1:, :-n] - Z[:-1, n:]
-    return bool(np.max(np.abs(diff)) <= tol)
-
-
 def center(
     series: TimeSeries | np.ndarray, means: np.ndarray | None = None
 ) -> tuple[TimeSeries, np.ndarray]:

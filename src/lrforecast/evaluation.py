@@ -1,4 +1,4 @@
-"""Model evaluation, regularization sweeps, and walk-forward validation."""
+"""Model evaluation and (alpha, kappa) regularization sweeps."""
 
 from __future__ import annotations
 
@@ -208,72 +208,3 @@ def sweep(
     columns = [_sweep_chain(alphas, kappa, data_train, data_test, lmax, loss, opts, means)
                for kappa in kappas]
     return SweepTable([row for rows in zip(*columns) for row in rows])
-
-
-@dataclass
-class CVResult:
-    """Per-split sweep tables plus a mean-aggregated table."""
-
-    splits: list[SweepTable]
-    boundaries: list[int]
-    aggregate: SweepTable
-
-
-def walk_forward_cv(
-    series: TimeSeries | np.ndarray,
-    n_splits: int,
-    alphas,
-    kappas,
-    M: int,
-    H: int,
-    loss: Loss = Loss(),
-    opts: FitOptions | None = None,
-) -> CVResult:
-    """Expanding-window validation: train on a prefix, test on what follows.
-
-    The series is cut at n_splits + 1 evenly spaced boundaries; split j
-    trains on everything before boundary j and tests on the segment up to
-    boundary j+1, so every test point lies strictly after all of its
-    training data (asserted).  Each split runs a full (alpha, kappa)
-    sweep; the aggregate table averages metrics across the splits whose
-    row did not fail, or across all of them when every one failed (test
-    segments have equal length, so the mean is the window-weighted mean),
-    sums their wall time, and keeps the first split's error.  An aggregate
-    row is failed when any split's row is, converged only when every one is.
-    """
-    if not isinstance(series, TimeSeries):
-        series = TimeSeries(series)
-    if n_splits < 1:
-        raise ValueError("n_splits must be >= 1")
-    T = series.T
-    seg = T // (n_splits + 1)
-    if seg < M + H:
-        raise ValueError(
-            f"T={T} is too short for {n_splits} splits with M+H={M + H} "
-            f"(each test segment would have {seg} points)"
-        )
-    boundaries = [T - (n_splits - j) * seg for j in range(n_splits + 1)]
-    splits = []
-    for j in range(n_splits):
-        b0, b1 = boundaries[j], boundaries[j + 1]
-        train = TimeSeries(series.values[:b0], names=series.names, t0=series.t0)
-        test = TimeSeries(series.values[b0:b1], names=series.names, t0=series.t0 + b0)
-        # look-ahead-free: every index a test window can touch follows all train indices
-        assert train.T == b0 and b0 + test.T == b1 and b1 <= T
-        splits.append(sweep(train, test, alphas, kappas, M, H, loss, opts))
-    agg = SweepTable()
-    averaged = ("lam", "train_loss", "test_loss", "train_inconsistency", "test_inconsistency")
-    for i in range(len(splits[0].rows)):
-        group = [t.rows[i] for t in splits]
-        # with every split failed: NaN losses and rank -1
-        ok = [r for r in group if not r.failed] or group
-        agg.rows.append(replace(
-            group[0],
-            **{f: float(np.mean([getattr(r, f) for r in ok])) for f in averaged},
-            rank=int(round(np.mean([r.rank for r in ok]))),
-            wall_time_s=float(np.sum([r.wall_time_s for r in group])),
-            failed=any(r.failed for r in group),
-            converged=all(r.converged for r in group),
-            error=next((r.error for r in group if r.failed), ""),
-        ))
-    return CVResult(splits=splits, boundaries=boundaries, aggregate=agg)

@@ -1,4 +1,5 @@
-"""File formats: series CSV, model/trend/state-space JSON, sweep CSV.
+"""File formats: series CSV and model/trend JSON, read and written; the
+state-space JSON and the sweep CSV, written only.
 
 Series CSV bytes, as written: a header row quoted as csv.writer quotes
 (a name holding a comma, quote or line break is double-quoted), then one
@@ -35,7 +36,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple
 from typing import NoReturn
 
 import numpy as np
@@ -371,13 +372,6 @@ def ss_to_json(model: StateSpaceModel, spec: SimSpec | None = None) -> dict:
     return doc
 
 
-def ss_from_json(doc) -> StateSpaceModel:
-    json_object(doc, "state-space document", tuple("ACQR"), ("spec",))
-    if "spec" in doc:
-        json_object(doc["spec"], "state-space spec", (), [f.name for f in fields(SimSpec)])
-    return StateSpaceModel(*(np.array(doc[k], dtype=float) for k in "ACQR"))
-
-
 # ------------------------------------------------------------------ sweep CSV
 
 
@@ -387,28 +381,3 @@ def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
     cells = [astuple(r)[: len(SWEEP_CSV_COLUMNS)] for r in rows]
     values = np.array(cells, dtype=float).reshape(-1, len(SWEEP_CSV_COLUMNS))
     _write_csv(path, list(SWEEP_CSV_COLUMNS), values)
-
-
-def read_sweep_csv(path: str) -> list[dict]:
-    """Sweep rows as dicts, rank an int.  A wrong field count, a cell float()
-    rejects (nan passes) or a non-integer rank raises ValueError naming the line."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(SWEEP_CSV_COLUMNS):
-            raise ValueError(f"{path}: unexpected sweep header {header}")
-        out = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rec = dict(zip(header, map(float, row)))
-            except ValueError as e:
-                raise ValueError(f"{path}: line {line}: {e}") from None
-            if not rec["rank"].is_integer():
-                raise ValueError(f"{path}: line {line}: rank {rec['rank']!r} is not an integer")
-            rec["rank"] = int(rec["rank"])
-            out.append(rec)
-    return out

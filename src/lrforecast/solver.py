@@ -75,7 +75,7 @@ class FitOptions:
         after sweep 1, every CERT_EVERY sweeps after it, and sweep
         max_outer.  Each joint L-BFGS-B solve runs at history 10, gtol 1e-8
         and at most 1000 iterations; the Gram path's block solves are exact.
-    seed: drives the random entries of the initial factors.
+    seed: drives the random entries of the initial factors, at least 0.
     init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
         with k0 <= k.  The fit starts from these columns widened to k by
         random ones drawn from default_rng(seed) at standard deviation
@@ -90,10 +90,12 @@ class FitOptions:
     init: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be at least 1")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer={self.max_outer} must be at least 1")
+        for name, least in (("k", 1), ("max_outer", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_number(value, integer=True):
+                raise ValueError(f"{name}={value!r} must be an integer")
+            if value < least:
+                raise ValueError(f"{name}={value} must be at least {least}")
 
 
 @dataclass

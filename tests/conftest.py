@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -43,3 +44,9 @@ def edited(doc, path, value):
     else:
         parent[path[-1]] = value
     return doc
+
+
+def sweep_csv_rows(path):
+    """A sweep CSV's rows, read by csv.DictReader, every cell as a float."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]

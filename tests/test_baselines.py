@@ -18,18 +18,15 @@ from lrforecast import (
     Loss,
     NumericalError,
     StateSpaceModel,
-    TimeSeries,
     WindowedDataset,
     ar_fit,
     ar_iterated_forecaster,
     build_windows,
     cond_mean_forecaster,
-    empirical_autocov,
     empirical_forecaster,
     inconsistency,
     latent_ar_fit,
     loss_value,
-    mean_forecaster,
     ridge_fit,
     ss_autocov,
     ss_forecaster,
@@ -186,7 +183,7 @@ def test_ridge_shrinks_with_lambda(rng):
 def test_ridge_zero_matches_autocov_identity(rng):
     # theta = Sigma_pp^{-1} Sigma_fp^T with the windowed second moments
     data = rand_windows(rng, N=40)
-    spp, sfp = empirical_autocov(data)
+    spp, sfp = data.P.T @ data.P / data.N, data.F.T @ data.P / data.N
     theta = np.linalg.solve(spp, sfp.T)
     assert np.allclose(ridge_fit(data, 0.0).theta(), theta, atol=1e-8)
 
@@ -222,25 +219,6 @@ def test_spd_cholesky_rejects_exactly_singular_grams():
 
 
 # ------------------------------------------------------ empirical moments
-
-
-def test_empirical_autocov_literal():
-    data = WindowedDataset(P=np.ones((1, 2)), F=np.ones((1, 3)), n=1, M=2, H=3)
-    spp, sfp = empirical_autocov(data)
-    assert np.array_equal(spp, np.ones((2, 2)))
-    assert np.array_equal(sfp, np.ones((3, 2)))
-
-
-def test_empirical_autocov_zero_and_psd(rng):
-    zero = WindowedDataset(P=np.zeros((4, 2)), F=np.zeros((4, 2)), n=1, M=2, H=2)
-    spp, sfp = empirical_autocov(zero)
-    assert not spp.any() and not sfp.any()
-    data = rand_windows(rng, N=20)
-    spp, sfp = empirical_autocov(data)
-    assert np.array_equal(spp, data.P.T @ data.P / data.N)
-    assert np.array_equal(sfp, data.F.T @ data.P / data.N)
-    assert np.allclose(spp, spp.T, atol=1e-10)
-    assert np.linalg.eigvalsh(spp).min() >= -1e-10
 
 
 def test_empirical_forecaster_matches_ridge_and_pinv(rng):
@@ -621,16 +599,6 @@ def test_zero_forecaster_loss_and_consistency(rng):
     assert inconsistency(fhat, data.n) == 0.0
     with pytest.raises(ValueError, match="must be >= 1"):
         zero_forecaster(2, 0, 1)  # used to return an M = 0 forecaster
-
-
-def test_mean_forecaster_stores_training_mean(rng):
-    x = np.full((20, 2), 3.0)
-    f = mean_forecaster(x, M=2, H=2)
-    assert np.allclose(f.means, [3.0, 3.0])
-    assert not f.theta().any()
-    series = TimeSeries(rng.normal(size=(15, 2)))
-    f2 = mean_forecaster(series, M=3, H=1)
-    assert np.allclose(f2.means, series.values.mean(axis=0))
 
 
 def test_to_low_rank_truncates(rng):

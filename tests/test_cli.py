@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import DELETE, edited
+from conftest import DELETE, edited, sweep_csv_rows
 from lrforecast.baselines import cond_mean_forecaster, ss_autocov
 from lrforecast.cli import main
 from lrforecast.core import TimeSeries, build_windows, center
@@ -27,7 +27,6 @@ from lrforecast.serialize import (
     load_json,
     load_model_json,
     read_series_csv,
-    read_sweep_csv,
     save_model_json,
     trend_from_json,
     write_series_csv,
@@ -767,11 +766,11 @@ def test_jobs_is_rejected(small, tmp_path, capsys):
     assert not model_out.exists() and not sweep_out.exists()
 
 
-def assert_solver_option_rejected(small, tmp_path, capsys, key, value):
+def assert_solver_option_rejected(small, tmp_path, capsys, key, value, least=1):
     """fit and sweep exit 2 naming key=value, by flag and by config, and write nothing."""
     train, test = str(small / "train.csv"), str(small / "test.csv")
     model_out, sweep_out = tmp_path / "m.json", tmp_path / "s.csv"
-    message = f"{key}={value} must be at least 1"
+    message = f"{key}={value} must be at least {least}"
     fit = ("fit", "--train", train, "--M", 3, "--H", 2, "--alpha", 0.4,
            "--model-out", model_out)
     sweep = ("sweep", "--train", train, "--test", test, "--M", 3, "--H", 2,
@@ -801,6 +800,13 @@ def test_k_below_one_is_rejected(small, tmp_path, capsys, k):
     assert_solver_option_rejected(small, tmp_path, capsys, "k", k)
 
 
+def test_seed_below_zero_is_rejected(small, tmp_path, capsys):
+    # a sweep used to fail every row and exit 2 with "sweep produced no
+    # successful rows" after writing an all-failed CSV; fit printed numpy's
+    # "expected non-negative integer"
+    assert_solver_option_rejected(small, tmp_path, capsys, "seed", -1, least=0)
+
+
 def test_one_config_serves_fit_and_sweep(small, tmp_path):
     cfg = tmp_path / "c.json"
     dump_json(str(cfg), {
@@ -814,7 +820,7 @@ def test_one_config_serves_fit_and_sweep(small, tmp_path):
     assert run("fit", "--config", cfg) == 0
     assert load_model_json(str(tmp_path / "m.json")).phi is not None
     assert run("sweep", "--config", cfg) == 0
-    assert [r["alpha"] for r in read_sweep_csv(str(tmp_path / "sweep.csv"))] == [0.5, 0.3]
+    assert [r["alpha"] for r in sweep_csv_rows(str(tmp_path / "sweep.csv"))] == [0.5, 0.3]
 
 
 def test_config_seed_precedence(small, tmp_path, capsys):
@@ -853,7 +859,7 @@ def test_sweep_command(small, tmp_path):
         "--M", 3, "--H", 2, "--alphas", "0.5,0.2", "--kappas", "0,0.5",
         "--k", 3, "--seed", 0, "--out", out,
     ) == 0
-    rows = read_sweep_csv(str(out))
+    rows = sweep_csv_rows(str(out))
     assert [(r["alpha"], r["kappa"]) for r in rows] == [
         (0.5, 0.0), (0.5, 0.5), (0.2, 0.0), (0.2, 0.5),
     ]
@@ -875,7 +881,7 @@ def test_l1_sweep_and_alpha_fit(small, tmp_path):
         "--M", 3, "--H", 2, "--alphas", "0.5,0.1", "--kappas", "0,0.5",
         "--k", 3, "--seed", 0, "--loss", "l1", "--out", out,
     ) == 0
-    rows = read_sweep_csv(str(out))
+    rows = sweep_csv_rows(str(out))
     assert len(rows) == 4
     assert all(r["rank"] >= 0 and np.isfinite(r["test_loss"]) for r in rows)
     assert run(

@@ -1,4 +1,4 @@
-"""Evaluation, sweep, and walk-forward validation tests."""
+"""Evaluation and sweep tests."""
 
 from dataclasses import replace
 
@@ -27,7 +27,6 @@ from lrforecast import (
     ridge_fit,
     sample,
     sweep,
-    walk_forward_cv,
 )
 from lrforecast.solver import CERT_TOL
 
@@ -299,84 +298,3 @@ def test_best_skips_failed_and_raises_when_empty():
     dead = SweepTable(rows=[row(0.1, 0.0, np.nan, failed=True)])
     with pytest.raises(ValueError):
         dead.best()
-
-
-# -------------------------------------------------------------- walk-forward
-
-
-def test_walk_forward_boundaries(rng):
-    x = small_series(rng, T=100)
-    cv = walk_forward_cv(x, 3, [0.3], [0.0], M=3, H=2, opts=FitOptions(k=3))
-    assert cv.boundaries == [25, 50, 75, 100]
-    assert len(cv.splits) == 3
-    assert all(len(t.rows) == 1 for t in cv.splits)
-
-
-def test_walk_forward_aggregate_averages(rng):
-    x = small_series(rng, T=80)
-    cv = walk_forward_cv(x, 2, [0.4, 0.2], [0.0], M=3, H=2, opts=FitOptions(k=3))
-    agg = cv.aggregate
-    assert len(agg.rows) == 2
-    for i, r in enumerate(agg.rows):
-        parts = [t.rows[i] for t in cv.splits]
-        assert np.isclose(r.test_loss, np.mean([p.test_loss for p in parts]))
-        assert np.isclose(r.train_loss, np.mean([p.train_loss for p in parts]))
-        assert r.alpha == parts[0].alpha and r.kappa == parts[0].kappa
-        assert r.converged == all(p.converged for p in parts)
-
-
-def test_walk_forward_aggregate_keeps_first_error(rng, monkeypatch):
-    x = small_series(rng, T=80)
-    real = evaluation.fit_auto_rank
-
-    def short_fails(data, lam, kappa=0.0, loss=Loss(), opts=None, means=None):
-        if data.N < 30:  # only the first split trains on fewer windows
-            raise RuntimeError(f"short split N={data.N}")
-        return real(data, lam, kappa, loss, opts=opts, means=means)
-
-    monkeypatch.setattr(evaluation, "fit_auto_rank", short_fails)
-    cv = walk_forward_cv(x, 2, [0.4], [0.0], M=3, H=2, opts=FitOptions(k=3))
-    first, second = (t.rows[0] for t in cv.splits)
-    (agg,) = cv.aggregate.rows
-    assert first.failed and not second.failed
-    assert agg.failed and agg.error == first.error == "RuntimeError: short split N=24"
-    assert second.converged and not first.converged and not agg.converged
-    assert agg.test_loss == second.test_loss
-
-    # every split fails: the row is aggregated like any other, over the
-    # failed rows (it used to be a copy of the first split's row)
-    def all_fail(data, lam, kappa=0.0, loss=Loss(), opts=None, means=None):
-        raise RuntimeError(f"split N={data.N}")
-
-    monkeypatch.setattr(evaluation, "fit_auto_rank", all_fail)
-    cv = walk_forward_cv(x, 2, [0.4], [0.0], M=3, H=2, opts=FitOptions(k=3))
-    rows = [t.rows[0] for t in cv.splits]
-    (agg,) = cv.aggregate.rows
-    assert all(r.failed for r in rows) and agg.failed and not agg.converged
-    assert agg.error == rows[0].error == "RuntimeError: split N=24"
-    assert agg.wall_time_s == sum(r.wall_time_s for r in rows)
-    assert agg.lam == np.mean([r.lam for r in rows]) and agg.rank == -1
-    assert np.isnan([agg.train_loss, agg.test_loss, agg.train_inconsistency,
-                     agg.test_inconsistency]).all()
-
-
-def test_walk_forward_aggregate_converged_needs_every_split(rng, monkeypatch):
-    x = small_series(rng, T=80)
-    real = evaluation.fit_auto_rank
-
-    def late_uncertified(data, lam, kappa=0.0, loss=Loss(), opts=None, means=None):
-        model, report = real(data, lam, kappa, loss, opts=opts, means=means)
-        return model, replace(report, converged=report.converged and data.N < 30)
-
-    monkeypatch.setattr(evaluation, "fit_auto_rank", late_uncertified)
-    cv = walk_forward_cv(x, 2, [0.4], [0.0], M=3, H=2, opts=FitOptions(k=3))
-    first, second = (t.rows[0] for t in cv.splits)
-    assert first.converged and not second.converged and not second.failed
-    assert not cv.aggregate.rows[0].converged
-
-
-def test_walk_forward_requires_enough_data():
-    with pytest.raises(ValueError, match="too short"):
-        walk_forward_cv(np.zeros((20, 1)), 4, [0.1], [0.0], M=3, H=2)
-    with pytest.raises(ValueError):
-        walk_forward_cv(np.zeros((50, 1)), 0, [0.1], [0.0], M=3, H=2)

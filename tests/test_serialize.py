@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import DELETE, edited
+from conftest import DELETE, edited, sweep_csv_rows
 
 from lrforecast import serialize
 from lrforecast.baselines import StateSpaceModel
@@ -35,9 +35,7 @@ from lrforecast.serialize import (
     model_from_json,
     model_to_json,
     read_series_csv,
-    read_sweep_csv,
     save_model_json,
-    ss_from_json,
     ss_to_json,
     trend_from_json,
     trend_to_json,
@@ -181,12 +179,6 @@ def test_csv_readers_accept_utf8_bom(tmp_path):
     back = read_series_csv(path)
     assert back.names == ("a", "b") and back.t0 == 5
     assert np.array_equal(back.values, [[1.0, 2.0]])
-    write_sweep_csv(path, sweep_rows())
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(b"\xef\xbb\xbf" + raw)
-    assert read_sweep_csv(path)[0]["rank"] == 3
 
 
 def reference_series_csv(path, series, include_t=True):
@@ -691,32 +683,10 @@ def test_ss_json_round_trip():
     model = StateSpaceModel(A=A, C=C, Q=Q, R=R)
     spec = SimSpec(n=3, r=2, seed=5)
     doc = ss_to_json(model, spec=spec)
-    back = ss_from_json(doc)
+    back = StateSpaceModel(*(np.array(doc[k]) for k in "ACQR"))
     for name in ("A", "C", "Q", "R"):
         assert np.array_equal(getattr(back, name), getattr(model, name))
     assert SimSpec(**doc["spec"]) == spec
-
-
-def test_ss_json_missing_field():
-    doc = ss_to_json(StateSpaceModel(0.5 * np.eye(1), np.eye(1), np.eye(1), np.eye(1)))
-    del doc["Q"]
-    with pytest.raises(ValueError, match="state-space document missing fields: Q"):
-        ss_from_json(doc)
-
-
-@pytest.mark.parametrize(
-    "patch, name",
-    [
-        ({"C": [[float("nan")]], "R": [[float("inf")]]}, "C"),
-        ({"Q": [[float("nan")]]}, "Q"),
-        # used to reach eigvals and raise LinAlgError
-        ({"A": [[float("nan")]]}, "A"),
-    ],
-)
-def test_ss_json_rejects_non_finite_matrices(patch, name):
-    doc = {"A": [[0.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], **patch}
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        ss_from_json(doc)
 
 
 def every_document():
@@ -726,13 +696,11 @@ def every_document():
     trend = TrendModel(S=np.arange(6.0).reshape(2, 3), lam=0.25, features=feats)
     model = model_to_json(make_model(loss=Loss("huber", delta=0.3)), trend=trend,
                           phi=np.zeros((3, 4)), aux_features=feats)
-    ss = ss_to_json(StateSpaceModel(0.5 * np.eye(1), np.eye(1), np.eye(1), np.eye(1)),
-                    spec=SimSpec())
-    return {"model": model, "trend": trend_to_json(trend), "state-space": ss,
+    return {"model": model, "trend": trend_to_json(trend),
             "features": dataclasses.asdict(feats), "loss": model["loss"]}
 
 
-JSON_READERS = {"model": model_from_json, "trend": trend_from_json, "state-space": ss_from_json,
+JSON_READERS = {"model": model_from_json, "trend": trend_from_json,
                 "features": features_from_json, "loss": loss_from_json}
 
 
@@ -757,10 +725,6 @@ JSON_READERS = {"model": model_from_json, "trend": trend_from_json, "state-space
     ("trend", ("lamb",), 0.0, "unknown trend document fields: lamb"),
     ("trend", ("S",), DELETE, "trend document missing fields: S"),
     ("trend", ("features",), [24.0], "trend document features must be a JSON object"),
-    ("state-space", (), "A", "state-space document must be a JSON object"),
-    ("state-space", ("B",), [[1.0]], "unknown state-space document fields: B"),
-    ("state-space", ("spec",), [1], "state-space spec must be a JSON object"),
-    ("state-space", ("spec", "rank"), 2, "unknown state-space spec fields: rank"),
     ("features", (), 24.0, "feature spec must be a JSON object"),
     ("features", ("period",), [24.0], "unknown feature spec fields: period"),
     ("loss", (), "huber", "loss must be a JSON object"),
@@ -810,11 +774,11 @@ def test_sweep_csv_round_trip(tmp_path):
     path = str(tmp_path / "sweep.csv")
     rows = sweep_rows()
     write_sweep_csv(path, rows)
-    back = read_sweep_csv(path)
+    back = sweep_csv_rows(path)
     assert len(back) == 2
     assert back[0]["alpha"] == 0.3
     assert back[0]["lambda"] == rows[0].lam
-    assert back[0]["rank"] == 3 and isinstance(back[0]["rank"], int)
+    assert back[0]["rank"] == 3
     assert back[0]["train_loss"] == rows[0].train_loss
     assert back[0]["wall_time_s"] == 0.125
     # the failed row keeps its placeholder rank and NaN losses
@@ -837,14 +801,6 @@ def test_sweep_csv_header_is_pinned(tmp_path):
 def test_sweep_row_leads_with_the_csv_columns():
     names = [f.name for f in dataclasses.fields(SweepRow)][: len(SWEEP_CSV_COLUMNS)]
     assert ["lambda" if name == "lam" else name for name in names] == list(SWEEP_CSV_COLUMNS)
-
-
-def test_sweep_csv_rejects_foreign_header(tmp_path):
-    path = str(tmp_path / "bad.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,kappa\n0.1,0.0\n")
-    with pytest.raises(ValueError, match="unexpected sweep header"):
-        read_sweep_csv(path)
 
 
 def reference_sweep_csv(path, rows):
@@ -875,29 +831,11 @@ def test_sweep_csv_failed_row_round_trip(tmp_path):
     path, again = str(tmp_path / "sweep.csv"), str(tmp_path / "again.csv")
     failed = sweep_rows()[1]
     write_sweep_csv(path, [failed])
-    (rec,) = read_sweep_csv(path)
-    assert rec["rank"] == -1 and isinstance(rec["rank"], int)
+    (rec,) = sweep_csv_rows(path)
+    assert rec["rank"] == -1
     assert all(np.isnan(rec[c]) for c in SWEEP_CSV_COLUMNS[4:8])
     write_sweep_csv(again, [SweepRow(*(rec[c] for c in SWEEP_CSV_COLUMNS))])
     assert read_bytes(again) == read_bytes(path)
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("0.1,0,0.5,2,1,1,0,0", "line 3: expected 9 fields, got 8"),
-        ("0.1,0,0.5,2,1,1,0,0,0.1,7", "line 3: expected 9 fields, got 10"),
-        ("0.1,0,0.5,2,oops,1,0,0,0.1", "line 3: could not convert string to float: 'oops'"),
-        ("0.1,0,0.5,2.5,1,1,0,0,0.1", "line 3: rank 2.5 is not an integer"),
-        ("0.1,0,0.5,nan,1,1,0,0,0.1", "line 3: rank nan is not an integer"),
-    ],
-)
-def test_sweep_csv_rejects_malformed_rows(tmp_path, row, message):
-    path = str(tmp_path / "bad.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n0.2,0,0.4,-1,nan,nan,nan,nan,0\n" + row + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-        read_sweep_csv(path)
 
 
 # ----------------------------------------------------------- json determinism

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -279,6 +280,24 @@ def test_fit_validation(rng):
             FitOptions(k=bad)
     with pytest.raises(ValueError, match="^k=0"):
         replace(FitOptions(), k=0)
+    # numpy integers are integers
+    assert FitOptions(k=np.int64(3), max_outer=np.int32(2), seed=np.int64(0)).k == 3
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("k", 2.5, "k=2.5 must be an integer"),
+    ("max_outer", 2.5, "max_outer=2.5 must be an integer"),
+    ("seed", 1.5, "seed=1.5 must be an integer"),
+    ("k", True, "k=True must be an integer"),
+    ("seed", -1, "seed=-1 must be at least 0"),
+])
+def test_fit_options_check_their_integers(name, value, message):
+    # these used to fail inside numpy: a TypeError, or for seed=-1 an
+    # "expected non-negative integer" that named no field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FitOptions(**{name: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(FitOptions(), **{name: value})
 
 
 def initial_factors(monkeypatch, data, opts):
