@@ -16,10 +16,10 @@ csv.reader refuses (a field over csv.field_size_limit(), or a NUL byte
 before Python 3.11), a wrong field count, a non-consecutive t, or a value
 that is not a finite number is rejected with a ValueError naming the
 first offending line.  A canonical file, as the writers make it, is
-parsed in C by np.loadtxt; any other file, and any file that fails a
-check there, is read again by csv.reader and int()/float(), the only
-source of values for such files and of error messages, so the accepted
-inputs and messages are those of that path.
+parsed in C by np.loadtxt; the text of any other file, and of any file
+that fails a check there, is parsed again by csv.reader and int()/float(),
+the only source of values for such files and of error messages, so the
+accepted inputs and messages are those of that path.
 
 This is the only module that reads or writes JSON.  Documents are dumped
 with sorted keys and a fixed indent, so identical inputs give identical
@@ -32,12 +32,12 @@ Infinity (which Python's json reads) is rejected naming the field.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
 from collections.abc import Iterable
 from dataclasses import asdict, astuple
-from typing import NoReturn
 
 import numpy as np
 
@@ -95,15 +95,15 @@ def read_series_csv(path: str) -> TimeSeries:
     Malformed rows raise ValueError naming the first offending line.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        series = _read_canonical(fh.read())
+        text = fh.read()
+    series = _read_canonical(text)
     if series is not None:
         return series
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except csv.Error as e:
-            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as e:
+        raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -116,10 +116,7 @@ def read_series_csv(path: str) -> TimeSeries:
     body = rows[1:]
     if not body:
         raise ValueError(f"{path}: no data rows")
-    parsed = _parse_body(body, len(header), has_t)
-    if parsed is None:
-        _raise_first_error(path, body, len(header), has_t)
-    values, t0 = parsed
+    values, t0 = _parse_body(path, body, len(header), has_t)
     return TimeSeries(values, names=tuple(names), t0=t0)
 
 
@@ -173,41 +170,13 @@ def _read_canonical(text: str) -> TimeSeries | None:
     return TimeSeries(values, names=tuple(names), t0=t0)
 
 
-def _parse_body(body: list[list[str]], width: int, has_t: bool):
-    """(values, t0) for a well-formed body, else None.
-
-    numpy converts each str cell with float(), so the values parse as the
-    error scan parses them.
-    """
-    if {len(row) for row in body} != {width}:
-        return None
-    t0 = 1
-    try:
-        if has_t:
-            t = [int(row[0]) for row in body]
-            t0 = t[0]
-            if t != list(range(t0, t0 + len(t))):
-                return None
-        # every int() literal is also a float() literal, so the t column
-        # parses here too
-        values = np.array(body, dtype=float)
-    except ValueError:
-        return None
-    if has_t:
-        # a C-contiguous copy: numpy may sum a strided view in another order
-        values = np.ascontiguousarray(values[:, 1:])
-    if not np.isfinite(values).all():
-        return None
-    return values, t0
-
-
-def _raise_first_error(
+def _parse_body(
     path: str, body: list[list[str]], width: int, has_t: bool
-) -> NoReturn:
-    """Raises ValueError naming the first malformed row of a body that
-    _parse_body rejected.  Each row is checked for its field count, then
-    its t index, then its values from left to right."""
-    prev_t = None
+) -> tuple[np.ndarray, int]:
+    """(values, t0) of a body, or ValueError naming its first malformed
+    row.  Each row is checked for its field count, then its t index, then
+    its values from left to right, each parsed by float()."""
+    values, prev_t = [], None
     for line, row in enumerate(body, start=2):
         if len(row) != width:
             raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
@@ -236,6 +205,8 @@ def _raise_first_error(
                 raise ValueError(
                     f"{path}: line {line}: value {cell.strip()!r} is not finite"
                 )
+            values.append(x)
+    return np.array(values).reshape(len(body), -1), int(body[0][0]) if has_t else 1
 
 
 def write_matrix_csv(path: str, values: np.ndarray, names: list[str], t_index: np.ndarray) -> None:

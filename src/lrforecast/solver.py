@@ -40,8 +40,7 @@ from scipy.optimize import minimize
 
 from .core import WindowedDataset, _is_number
 from .objective import (
-    L1, SQUARED_L2, Loss, Weights, _check_weights, _loss_value_grad, hankel_project, huber,
-    loss_grad,
+    SQUARED_L2, Loss, Weights, _check_weights, _loss_value_grad, hankel_project, huber, loss_grad,
 )
 
 # a fit is converged, certified optimal, when max(r1, r2, r3) <= CERT_TOL * lam
@@ -105,9 +104,9 @@ class FitReport:
     From fit_auto_rank and aux_joint_fit, iterations, sweeps and wall_time
     total every width in k_schedule, and cap_reached means the rank reached
     the cap on the width; the other fields are those of the last width's
-    fit.  optimality_residuals (None for l1) is taken on the fitted design,
-    see optimality_residuals: [P, aux] for a joint aux fit, Phi's term for
-    ridge.
+    fit.  optimality_residuals (None for l1) is the engine's certificate
+    (from Gram statistics on the Gram path) on the fitted design: [P, aux]
+    for a joint aux fit, Phi's term for ridge; see optimality_residuals.
 
     converged means the KKT certificate: optimality_residuals is not None
     and max(r1, r2, r3) <= CERT_TOL * lam, on every engine; a fit that
@@ -367,7 +366,7 @@ def _gram_fit(
     P: np.ndarray, F: np.ndarray, R: np.ndarray,
     weights: tuple[np.ndarray, np.ndarray],
     U: np.ndarray, V: np.ndarray, lam: float, opts: FitOptions,
-) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
+):
     """Exact alternating block solves on Gram statistics, stopped by the KKT certificate.
 
     With weights = (a, b) (both ones without W) the loss
@@ -386,7 +385,8 @@ def _gram_fit(
     at 5) and sweep max_outer.  The fit stops on it, up to
     CERT_EVERY - 1 sweeps after the first sweep that would certify.  On
     the same sweeps the objective stall (_stalled, over the last sweep)
-    ends the fit only when the width binds.  Returns _fit_arrays' tuple.
+    ends the fit only when the width binds, and a check that ends the fit
+    takes r1 ungated.  Returns _fit_arrays' tuple.
     """
     a, b = weights
     N, mcols = P.shape
@@ -419,19 +419,19 @@ def _gram_fit(
         fit = float(((B * (K @ B - 2.0 * Cz)).sum(axis=0) * b2).sum()) + f2
         return fit / N + 0.5 * lam * (float((Ut * Ut).sum()) + float((B * B).sum()))
 
-    def certificate(Uth, sigma, Vth, Phi):
-        # max of optimality_residuals' (r1, r2, r3) at Uth diag(sigma) Vth^T, in G's eigenbasis
+    def certificate(Uth, sigma, Vth, Phi, gate):
+        # optimality_residuals' (r1, r2, r3) at Uth diag(sigma) Vth^T, in G's eigenbasis
         theta = (Uth * sigma) @ Vth.T
-        Gt = g[:, None] * theta - C + GPR @ Phi
-        Gt *= (2.0 / N) * b2
+        Gt = (g[:, None] * theta - C + GPR @ Phi) * ((2.0 / N) * b2)
         gR = (2.0 / N) * (GPR.T @ theta + GRR @ Phi - CR) * b2
-        return max(_kkt_residuals(Gt, Uth, Vth, lam, gR, Phi, r1_gate=tol))
+        return _kkt_residuals(Gt, Uth, Vth, lam, gR, Phi, r1_gate=gate)
 
     # the zero start: Phi alone at theta = 0, the fit if it certifies
     Phi = solve(GRR, CR)
     obj = _finite_start(objective(GRR, CR, Phi, np.zeros((0, 0))))
-    if certificate(np.zeros((mcols, 0)), np.zeros(0), np.zeros((hcols, 0)), Phi) <= tol:
-        return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], 0, 0, Phi
+    residuals = certificate(np.zeros((mcols, 0)), np.zeros(0), np.zeros((hcols, 0)), Phi, tol)
+    if max(residuals) <= tol:
+        return reduce_rank(U[:, :0], V[:0]), Phi, ([obj], 0, 0), residuals
 
     def solve_u(B):
         V, Phi = B[:k], B[k:]
@@ -440,8 +440,7 @@ def _gram_fit(
         alpha, QA = np.linalg.eigh(Vb @ V.T)
         return ((rhs @ QA) / (g[:, None] * np.maximum(alpha, 0.0)[None, :] + c)) @ QA.T
 
-    Ut = Q.T @ U
-    B = np.vstack([V, Phi])
+    Ut, B = Q.T @ U, np.vstack([V, Phi])
     K, Cz = normal(Ut)
     trace = [_finite_start(objective(K, Cz, B, Ut))]
     for sweeps in range(1, opts.max_outer + 1):
@@ -455,17 +454,18 @@ def _gram_fit(
         if (sweeps - 1) % CERT_EVERY and sweeps < opts.max_outer:
             continue
         _, _, svd = reduce_rank(Ut, B[:k])
-        rank = svd[1].size
-        if certificate(*svd, B[k:]) <= tol or rank == k < min(mcols, hcols) and _stalled(trace):
+        last = sweeps == opts.max_outer or svd[1].size == k < min(mcols, hcols) and _stalled(trace)
+        residuals = certificate(*svd, B[k:], math.inf if last else tol)
+        if last or max(residuals) <= tol:
             break
-    return Q @ Ut, B[:k], trace, 2 * sweeps, sweeps, B[k:]
+    return reduce_rank(Q @ Ut, B[:k]), B[k:], (trace, 2 * sweeps, sweeps), residuals
 
 
 def _fit_arrays(
     P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
     W: Weights | None, opts: FitOptions, R: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[float], int, int, np.ndarray]:
-    """Fits the factored objective at width k. Returns raw factors.
+):
+    """Fits the factored objective at width k; returns the finished fit.
 
     Squared l2 at kappa = 0 with lam > 0 runs _gram_fit's exact alternating
     solves, weighted or not; the route reads the problem's type, never W's
@@ -487,8 +487,9 @@ def _fit_arrays(
     Phi (p x Hn) carry the ridge penalty (lam/2) ||Phi||_F^2.  The sweeps
     start from the zero start's Phi; the Gram path solves it jointly with V
     as one block B = [V; Phi] against the design Z = [P U, R], and the
-    L-BFGS path with U and V.  Returns (U, V, trace, inner iterations,
-    sweeps, Phi), Phi of shape (p, Hn).
+    L-BFGS path with U and V.  Returns (reduce_rank(U, V) of the fit, Phi
+    (p x Hn), (trace, inner iterations, sweeps), residuals): the certificate
+    the fit ends on, None for l1, from _gram_fit's statistics or the data.
     """
     N, mcols = P.shape
     hcols, p = F.shape[1], R.shape[1]
@@ -499,8 +500,7 @@ def _fit_arrays(
         raise ValueError(f"lam and kappa must be finite and nonnegative, got {lam}, {kappa}")
 
     U0, V0 = opts.init if opts.init is not None else (np.zeros((mcols, 0)), np.zeros((0, hcols)))
-    U0 = np.asarray(U0, dtype=float)
-    V0 = np.asarray(V0, dtype=float)
+    U0, V0 = np.asarray(U0, dtype=float), np.asarray(V0, dtype=float)
     k0 = U0.shape[1] if U0.ndim == 2 else -1
     if U0.shape != (mcols, k0) or V0.shape != (k0, hcols) or k0 > k:
         raise ValueError(
@@ -508,7 +508,8 @@ def _fit_arrays(
             f"({mcols}, k0)/(k0, {hcols}) with k0 <= {k}"
         )
 
-    if loss.kind == L1:
+    certify = loss.differentiable
+    if not certify:
         loss, W = _smooth_l1(F, W)
 
     # W = (a, b), or no W, keeps squared l2 at kappa = 0 a function of Gram statistics
@@ -534,8 +535,10 @@ def _fit_arrays(
         Phi, total_iters = res.x.reshape(p, hcols), int(res.nit)
     obj = _finite_start(_factored_value_grad(Phi.ravel(), *zero_args)[0])
     empty = (np.zeros((mcols, 0)), np.zeros(0), np.zeros((hcols, 0)))
-    if max(_residuals_from_svd(*empty, P, F, n, lam, kappa, loss, W, R, Phi, tol)) <= tol:
-        return np.zeros((mcols, k)), np.zeros((k, hcols)), [obj], total_iters, 0, Phi
+    residuals = _residuals_from_svd(*empty, P, F, n, lam, kappa, loss, W, R, Phi, tol)
+    if max(residuals) <= tol:
+        return (reduce_rank(U[:, :0], V[:0]), Phi, ([obj], total_iters, 0),
+                residuals if certify else None)
 
     args = (P, F, n, k, lam, kappa, loss, W, R)
     x = np.concatenate([U.ravel(), V.ravel(), Phi.ravel()])
@@ -551,7 +554,10 @@ def _fit_arrays(
         if _stalled(trace):
             break
     B = x[mcols * k :].reshape(k + p, hcols)
-    return x[: mcols * k].reshape(mcols, k), B[:k], trace, total_iters, sweeps, B[k:]
+    fit, Phi = reduce_rank(x[: mcols * k].reshape(mcols, k), B[:k]), B[k:]
+    residuals = (_residuals_from_svd(*fit[2], P, F, n, lam, kappa, loss, W, R, Phi)
+                 if certify else None)
+    return fit, Phi, (trace, total_iters, sweeps), residuals
 
 
 def _fit_design(
@@ -563,18 +569,13 @@ def _fit_design(
     P is data.P, or data.P with aux columns appended inside the factorization:
     the stacked [theta; Phi] is then split, theta's rows re-reduced as the
     model.  R is _fit_arrays' N x p ridge block.  (U, V) are the reduced
-    factors of P's fit, stacked ones included, as _widen reads them.
+    factors of P's fit, stacked ones included, as _widen reads them.  The
+    report's residuals are the engine's certificate (see _fit_arrays).
     """
     t0 = time.perf_counter()
-    U, V, trace, iters, sweeps, Phi = _fit_arrays(
+    (Ur, Vr, (_, sigma, _)), Phi, (trace, iters, sweeps), residuals = _fit_arrays(
         P, data.F, data.n, lam, kappa, loss, W, opts, R
     )
-    Ur, Vr, (U_theta, sigma, V_theta) = reduce_rank(U, V)
-    residuals = None
-    if loss.differentiable:
-        residuals = _residuals_from_svd(
-            U_theta, sigma, V_theta, P, data.F, data.n, lam, kappa, loss, W, R, Phi
-        )
     mn, design = data.P.shape[1], (Ur, Vr)
     if P.shape[1] > mn:
         # sigma belongs to the stacked [theta; Phi]; re-reduce theta's rows alone
@@ -742,10 +743,9 @@ def optimality_residuals(
     P theta + R Phi, Phi solved in the V block) has r2 = hypot(r2,
     ||R^T Gf + lam Phi||_F), Gf the forecast gradient.  Every kept
     singular value counts as support, so a direction that only decays
-    toward 0 reads as uncertified until reduce_rank drops it.  FitReport's
-    converged is this certificate; the Gram path also stops on it,
-    evaluated from its Gram statistics, and every fit takes it first at
-    theta = 0, its zero start (see _fit_arrays).
+    toward 0 reads as uncertified until reduce_rank drops it.  A FitReport
+    holds this triple as its engine took it, from Gram statistics on the
+    Gram path (see _fit_arrays); this is the independent check on the data.
     """
     if not loss.differentiable:
         raise ValueError("optimality residuals require a differentiable loss")

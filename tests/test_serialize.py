@@ -364,7 +364,6 @@ def test_canonical_files_take_the_fast_path(tmp_path, monkeypatch):
         raise AssertionError("canonical file read by the csv.reader path")
 
     monkeypatch.setattr(serialize, "_parse_body", refuse)
-    monkeypatch.setattr(serialize, "_raise_first_error", refuse)
     path = str(tmp_path / "x.csv")
     for series in [awkward_series(t0=-5), TimeSeries([[2.5]], t0=0),
                    TimeSeries(AWKWARD.reshape(1, -1), t0=10**15)]:

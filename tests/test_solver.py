@@ -308,7 +308,7 @@ def initial_factors(monkeypatch, data, opts):
 
     def capture(P, F, R, weights, U, V, lam, opts):
         seen.append((U, V))
-        return U, V, [0.0], 0, 0, np.zeros((0, V.shape[1]))
+        return reduce_rank(U, V), np.zeros((0, V.shape[1])), ([0.0], 0, 0), (0.0, 0.0, 0.0)
 
     monkeypatch.setattr(solver, "_gram_fit", capture)
     _fit_arrays(data.P, data.F, data.n, 0.1, 0.0, Loss(), None, opts, np.zeros((data.N, 0)))
@@ -340,14 +340,23 @@ def test_random_init_is_width_zero_warm_start(rng, monkeypatch):
 
 def test_raw_factors_balance_at_convergence(rng, monkeypatch):
     # at a stationary point the two factor norms agree and match the
-    # nuclear norm of the product (variational characterization); the
+    # nuclear norm of the product (variational characterization).  The raw
+    # factors are those the engine hands its final reduce_rank, and the
     # stall threshold is tightened so the width-bound fit runs that far
     from lrforecast import solver
 
+    raw = []
+
+    def spy(U, V):
+        raw.append((U, V))
+        return reduce_rank(U, V)
+
     monkeypatch.setattr(solver, "STALL_TOL", 1e-13)
+    monkeypatch.setattr(solver, "reduce_rank", spy)
     data = rand_instance(rng, N=30)
-    U, V, *_ = _fit_arrays(data.P, data.F, data.n, 0.2, 0.0, Loss(), None,
-                           FitOptions(k=4, max_outer=500), np.zeros((data.N, 0)))
+    _fit_arrays(data.P, data.F, data.n, 0.2, 0.0, Loss(), None,
+                FitOptions(k=4, max_outer=500), np.zeros((data.N, 0)))
+    U, V = raw[-1]
     nu = float((U * U).sum())
     nv = float((V * V).sum())
     nuc = nuclear_norm(U @ V)
@@ -626,8 +635,9 @@ def test_gram_stall_ends_only_a_width_bound_fit(rng, monkeypatch):
 
 
 def test_gram_certificate_cadence(rng, monkeypatch):
-    # one reduce_rank per certificate: after sweep 1, every CERT_EVERY
-    # sweeps after it and sweep max_outer; a fit stops only on those sweeps
+    # one reduce_rank per certificate (after sweep 1, every CERT_EVERY
+    # sweeps after it and sweep max_outer) and one for the returned fit; a
+    # fit stops only on those sweeps
     from lrforecast import solver
 
     calls = []
@@ -643,13 +653,14 @@ def test_gram_certificate_cadence(rng, monkeypatch):
     for frac, k, max_outer in itertools.product((0.05, 0.3), (1, 6), (1, 2, 8, 100)):
         calls.clear()
         lam = frac * lmax
-        U, V, _, _, sweeps, _ = _fit_arrays(
+        (U, V, _), _, (_, _, sweeps), _ = _fit_arrays(
             data.P, data.F, data.n, lam, 0.0, Loss(), None,
             FitOptions(k=k, max_outer=max_outer), np.zeros((data.N, 0)),
         )
         checked = [s for s in range(1, sweeps + 1)
                    if (s - 1) % CERT_EVERY == 0 or s == max_outer]
-        assert len(calls) == len(checked) <= math.ceil(sweeps / CERT_EVERY) + 1
+        assert len(calls) == len(checked) + 1
+        assert len(checked) <= math.ceil(sweeps / CERT_EVERY) + 1
         assert sweeps == checked[-1]
         if max(optimality_residuals(U, V, data, lam)) <= CERT_TOL * lam:
             converged_sweeps.append(sweeps)
@@ -924,6 +935,65 @@ def test_converged_is_the_certificate_on_every_path(path, expected):
         assert report.sweeps == 0 and report.rank == 0
 
 
+def test_gram_report_holds_the_engines_finite_certificate(monkeypatch):
+    # the report's (r1, r2, r3) is the Gram engine's own, read from its
+    # statistics with no data-side evaluation, and finite on every exit: a
+    # gated r1 = inf would reach report.json as Infinity.  It agrees with
+    # the triple taken on the raw design at the fitted model
+    rng = np.random.default_rng(7)
+    data = rand_instance(rng, N=30)
+    aux = rng.normal(size=(data.N, 2))
+    stacked = WindowedDataset(P=np.hstack([data.P, aux]), F=data.F, n=data.n, M=data.M + 1,
+                              H=data.H)
+    W = build_weights(3.0, 20.0, np.array([1.0, 0.5]), data.N, data.H)
+    lmax, hcols = lambda_max(data.P, data.F), data.F.shape[1]
+    data_side, kkt_residuals, r1s = solver._residuals_from_svd, solver._kkt_residuals, []
+
+    def spy(*args, **kwargs):
+        triple = kkt_residuals(*args, **kwargs)
+        r1s.append(triple[0])
+        return triple
+
+    monkeypatch.setattr(solver, "_kkt_residuals", spy)
+    monkeypatch.setattr(solver, "_residuals_from_svd",
+                        mock.Mock(side_effect=AssertionError("data-side certificate")))
+    # (alpha, design or weights, options); max_outer ends fits short of the certificate
+    cases = {f"max_outer_{m}_k{k}": (0.05, {}, dict(k=k, max_outer=m))
+             for m in (1, 2, 3) for k in (1, 6)}
+    cases.update({
+        "certified": (0.1, {}, GRAM_OPTS), "width_bound": (0.1, {}, dict(k=1, max_outer=1000)),
+        "weighted": (0.1, dict(W=W), GRAM_OPTS), "ridge": (0.1, dict(aux=False), GRAM_OPTS),
+        "stacked": (0.1, dict(aux=True), GRAM_OPTS), "zero_exit": (1.5, {}, GRAM_OPTS),
+    })
+    verdicts = set()
+    for name, (alpha, how, opts) in cases.items():
+        lam, opts, Phi = alpha * lmax, FitOptions(**{"k": 6, **opts}), np.zeros((0, hcols))
+        if "aux" in how:
+            model, Phi, report = aux_joint_fit(data, aux, lam, opts=opts,
+                                               joint_nuclear=how["aux"])
+        else:
+            model, report = fit_factored(data, lam, W=how.get("W"), opts=opts)
+        residuals = report.optimality_residuals
+        assert all(math.isfinite(r) for r in residuals), (name, residuals)
+        assert report.converged == (max(residuals) <= CERT_TOL * lam), name
+        verdicts.add(report.converged)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_residuals_from_svd", data_side)
+            m.setattr(solver, "_kkt_residuals", kkt_residuals)
+            if how.get("aux") is True:
+                U, V, design = np.vstack([model.theta(), Phi]), np.eye(hcols), stacked
+                expected = optimality_residuals(U, V, design, lam)
+            else:
+                _, _, svd = reduce_rank(model.U, model.V)
+                R = aux if how.get("aux") is False else np.zeros((data.N, 0))
+                expected = data_side(*svd, data.P, data.F, data.n, lam, 0.0, Loss(),
+                                     how.get("W"), R, Phi)
+        assert np.allclose(residuals, expected, rtol=0.0, atol=1e-12 * lam), name
+    # some fits certify and some do not, and the r1 gate did skip r1 (inf) on
+    # some check, so the finite reports above are not vacuous
+    assert verdicts == {True, False} and math.inf in r1s
+
+
 def test_r1_lower_bound_keeps_every_decision(rng):
     # with a finite gate, one product's lower bound on ||G||_2 may replace r1
     # by inf, only where the exact r1 exceeds the gate too
@@ -980,27 +1050,30 @@ def test_zero_start_on_every_engine_and_design(case, monkeypatch):
         lam, opts = alpha * lmax, FitOptions(k=6, **GRAM_OPTS)
         if aux_design is None:
             model, report = fit_factored(data, lam, kappa, loss, W, opts)
-            return lam, model.U, model.V, report
+            return lam, model.U, model.V, None, report
         model, Phi, report = aux_joint_fit(data, aux, lam, kappa, loss, W, opts,
                                            joint_nuclear=aux_design == "stacked")
         if aux_design == "stacked":
-            return lam, np.vstack([model.U @ model.V, Phi]), np.eye(data.F.shape[1]), report
-        return lam, model.U, model.V, report
+            return lam, np.vstack([model.U @ model.V, Phi]), np.eye(data.F.shape[1]), None, report
+        return lam, model.U, model.V, Phi, report
 
-    _, U, V, report = fit(1.5)
+    _, U, V, _, report = fit(1.5)
     assert report.rank == 0 and report.sweeps == 0 and not (U @ V).any()
     assert report.converged is (loss.kind != L1)
     # only the ridge block's Phi needs an L-BFGS solve at the zero start
     assert bool(calls) is (engine == "joint" and aux_design == "ridge")
     calls.clear()
 
-    lam, U, V, report = fit(0.3)
+    lam, U, V, Phi, report = fit(0.3)
     assert report.sweeps > 0 and bool(calls) is (engine == "joint")
     smooth, Ws = _smooth_l1(data.F, W) if loss.kind == L1 else (loss, W)
     residuals = optimality_residuals(U, V, design, lam, kappa, smooth, Ws)
     if aux_design == "ridge":
-        # the reference has no ridge block; the certificate takes Phi's term
-        residuals = report.optimality_residuals
+        # the reference has no ridge block; the certificate, taken on the raw
+        # design, adds Phi's term
+        _, _, svd = reduce_rank(U, V)
+        residuals = solver._residuals_from_svd(*svd, data.P, data.F, data.n, lam, kappa, smooth,
+                                               Ws, aux, Phi)
     else:
         ref = main_objective(svt_reference_solve(design, lam, kappa, smooth, Ws, tol=1e-12),
                              design, lam, kappa, smooth, Ws)
