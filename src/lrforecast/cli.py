@@ -220,7 +220,7 @@ def cmd_fit(args) -> int:
             )
         # start at the stored width unless a wider k is asked for explicitly, and
         # widen from there like a cold fit; padding to the default width would
-        # bury the warm start under random columns at signal scale
+        # bury the warm start under random columns whose forecast alone has F's norm
         warm = replace(opts, k=args.k or 1, init=(prev.U, prev.V))
         model, report = fit_auto_rank(data, lam, kappa, loss, W, warm, means)
     else:

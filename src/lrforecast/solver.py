@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize
 
 from .core import WindowedDataset, _is_number
@@ -77,10 +78,10 @@ class FitOptions:
     seed: drives the random entries of the initial factors, at least 0.
     init: optional (U0, V0) warm start of shapes (Mn, k0) and (k0, Hn)
         with k0 <= k.  The fit starts from these columns widened to k by
-        random ones drawn from default_rng(seed) at standard deviation
-        std(F)/sqrt(k), U's block first; None is the k0 = 0 case, a
-        fully random start.  Reduced factors keep singular values above
-        RANK_TOL times the largest (see reduce_rank).
+        random ones from default_rng(seed), scaled so their forecast has
+        ||F||_F (see _start); None is the k0 = 0 case, a fully random
+        start.  Reduced factors keep singular values above RANK_TOL times
+        the largest (see reduce_rank).
     """
 
     k: int = 20
@@ -216,6 +217,16 @@ class LowRankForecaster:
         return self.decode(self.encode(p))
 
 
+def _svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd(A, full_matrices=False), by LAPACK's gesvd where gesdd fails on a finite A."""
+    try:
+        return np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError:
+        if not np.isfinite(A).all():
+            raise
+        return scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesvd", check_finite=False)
+
+
 def reduce_rank(
     U: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -240,7 +251,7 @@ def reduce_rank(
         empty = np.zeros((0,))
         return np.zeros((m, 0)), np.zeros((0, h)), (np.zeros((m, 0)), empty, np.zeros((h, 0)))
     Q, Ru = np.linalg.qr(U)
-    Ua, sa, Vat = np.linalg.svd(Ru @ V, full_matrices=False)
+    Ua, sa, Vat = _svd(Ru @ V)
     r = int(np.sum(sa > RANK_TOL * sa[0])) if sa[0] > 0 else 0
     U_theta, sa, V_theta = Q @ Ua[:, :r], sa[:r], Vat[:r].T
     root = np.sqrt(sa)
@@ -461,6 +472,28 @@ def _gram_fit(
     return reduce_rank(Q @ Ut, B[:k]), B[k:], (trace, 2 * sweeps, sweeps), residuals
 
 
+def _start(P: np.ndarray, F: np.ndarray, opts: FitOptions) -> tuple[np.ndarray, np.ndarray]:
+    """opts.init (U0, V0), width k0 (0 for None), widened to opts.k at the data's scale.
+
+    The k - k0 random columns U_r and rows V_r come from default_rng(opts.seed),
+    U's first, times s = sqrt(||F||_F / ||P U_r V_r||_F), so the block's forecast
+    has F's Frobenius norm; s = 1 where that ratio is not finite and positive.
+    """
+    mcols, hcols, k = P.shape[1], F.shape[1], opts.k
+    U0, V0 = opts.init if opts.init is not None else (np.zeros((mcols, 0)), np.zeros((0, hcols)))
+    U0, V0 = np.asarray(U0, dtype=float), np.asarray(V0, dtype=float)
+    k0 = U0.shape[1] if U0.ndim == 2 else -1
+    if U0.shape != (mcols, k0) or V0.shape != (k0, hcols) or k0 > k:
+        raise ValueError(f"warm start shapes {U0.shape}/{V0.shape} do not match "
+                         f"({mcols}, k0)/(k0, {hcols}) with k0 <= {k}")
+    rng = np.random.default_rng(opts.seed)
+    Ur, Vr = rng.normal(size=(mcols, k - k0)), rng.normal(size=(k - k0, hcols))
+    with np.errstate(all="ignore"):
+        ratio = float(np.linalg.norm(F) / np.linalg.norm((P @ Ur) @ Vr))
+    s = math.sqrt(ratio) if 0 < ratio < math.inf else 1.0
+    return np.hstack([U0, s * Ur]), np.vstack([V0, s * Vr])
+
+
 def _fit_arrays(
     P: np.ndarray, F: np.ndarray, n: int, lam: float, kappa: float, loss: Loss,
     W: Weights | None, opts: FitOptions, R: np.ndarray,
@@ -474,13 +507,13 @@ def _fit_arrays(
     iterate, and the fit ends once a sweep lowers the objective by at most
     STALL_TOL relative (_stalled).
     l1 is swapped for _smooth_l1's smoothing at entry.  Both engines share
-    the validation and the initial factors, and one zero rule, the zero
-    start: before sweep 1 the engine fits Phi alone at theta = 0 (_gram_fit
-    in closed form; here the k = 0 L-BFGS solve, when R has columns),
-    refuses a non-finite objective there (_finite_start) and then takes the
-    KKT certificate.  If max(r1, r2, r3) <= CERT_TOL * lam,
-    theta = 0 with that Phi is the fit: 0 sweeps, trace [its objective];
-    with p = 0, that is lam >= lambda_max / (1 + CERT_TOL).
+    the validation, the initial factors (_start) and the zero start: before
+    sweep 1 the engine fits Phi alone at theta = 0 (_gram_fit in closed
+    form; here the k = 0 L-BFGS solve, when R has columns), refuses a
+    non-finite objective there (_finite_start), then takes the KKT
+    certificate.  If max(r1, r2, r3) <= CERT_TOL * lam, theta = 0 with that
+    Phi is the fit: 0 sweeps, trace [its objective]; with p = 0, that is
+    lam >= lambda_max / (1 + CERT_TOL).
 
     R (N x p, p >= 0; N x 0 for a plain fit) holds regressors outside the
     factorization: the forecast is P U V + R Phi, and their coefficients
@@ -492,22 +525,13 @@ def _fit_arrays(
     the fit ends on, None for l1, from _gram_fit's statistics or the data.
     """
     N, mcols = P.shape
-    hcols, p = F.shape[1], R.shape[1]
-    k = opts.k
+    hcols, p, k = F.shape[1], R.shape[1], opts.k
     if not 1 <= k <= min(mcols, hcols):
         raise ValueError(f"k={k} must be in [1, min({mcols}, {hcols})]")
     if not (0 <= lam < math.inf and 0 <= kappa < math.inf):
         raise ValueError(f"lam and kappa must be finite and nonnegative, got {lam}, {kappa}")
 
-    U0, V0 = opts.init if opts.init is not None else (np.zeros((mcols, 0)), np.zeros((0, hcols)))
-    U0, V0 = np.asarray(U0, dtype=float), np.asarray(V0, dtype=float)
-    k0 = U0.shape[1] if U0.ndim == 2 else -1
-    if U0.shape != (mcols, k0) or V0.shape != (k0, hcols) or k0 > k:
-        raise ValueError(
-            f"warm start shapes {U0.shape}/{V0.shape} do not match "
-            f"({mcols}, k0)/(k0, {hcols}) with k0 <= {k}"
-        )
-
+    U, V = _start(P, F, opts)
     certify = loss.differentiable
     if not certify:
         loss, W = _smooth_l1(F, W)
@@ -517,11 +541,6 @@ def _fit_arrays(
     if loss.kind == SQUARED_L2 and kappa == 0.0 and lam > 0:
         weights = (np.ones(N), np.ones(hcols)) if W is None else _check_weights(W, F.shape)
 
-    # the warm start is widened to k by random columns; without one, all k are random
-    rng = np.random.default_rng(opts.seed)
-    sig = (float(np.std(F)) or 1.0) / np.sqrt(k)
-    U = np.concatenate([U0, rng.normal(0.0, sig, size=(mcols, k - k0))], axis=1)
-    V = np.concatenate([V0, rng.normal(0.0, sig, size=(k - k0, hcols))], axis=0)
     if weights is not None:
         return _gram_fit(P, F, R, weights, U, V, lam, opts)
 
@@ -785,17 +804,13 @@ def svt_reference_solve(
         return val, P.T @ G
 
     def prox(theta, step):
-        Up, s, Vpt = np.linalg.svd(theta, full_matrices=False)
+        Up, s, Vpt = _svd(theta)
         s = np.maximum(s - step * lam, 0.0)
         return (Up * s[None, :]) @ Vpt, float(s.sum())
 
-    theta = np.zeros((mcols, hcols))
-    y = theta
-    g_theta, _ = smooth(theta)
-    obj = g_theta  # nuclear norm of 0 is 0
-    t_mom = 1.0
-    L = 1.0
-    stall = 0
+    theta = y = np.zeros((mcols, hcols))
+    obj, _ = smooth(theta)  # nuclear norm of 0 is 0
+    t_mom, L, stall = 1.0, 1.0, 0
     for _ in range(max_iters):
         g_y, grad_y = smooth(y)
         while True:
@@ -818,16 +833,12 @@ def svt_reference_solve(
         stall = stall + 1 if change <= tol * max(1.0, abs(obj_cand)) else 0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = cand + ((t_mom - 1.0) / t_next) * (cand - theta)
-        theta = cand
-        obj = obj_cand
-        t_mom = t_next
+        theta, obj, t_mom = cand, obj_cand, t_next
         L = max(L * 0.9, 1e-12)
         if stall >= 3:
             return theta
-    err = NumericalError(
-        f"proximal gradient did not converge in {max_iters} iterations "
-        f"(objective {obj:.6e})"
-    )
+    err = NumericalError(f"proximal gradient did not converge in {max_iters} iterations "
+                         f"(objective {obj:.6e})")
     err.theta = theta
     err.objective = obj
     raise err

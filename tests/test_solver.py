@@ -338,6 +338,90 @@ def test_random_init_is_width_zero_warm_start(rng, monkeypatch):
     assert np.array_equal(V, Ve)
 
 
+class _Started(Exception):
+    """Raised by engine_start's spies once an engine holds its initial factors."""
+
+
+def engine_start(P, F, n, R, kappa, opts):
+    # the factors the engine starts its first sweep from: the Gram engine's
+    # inputs, or the first L-BFGS point at k > 0 (a ridge block's zero start
+    # solves Phi alone, at k = 0, before it)
+    seen = []
+
+    def gram(P, F, R, weights, U, V, lam, opts):
+        seen.append((U, V))
+        raise _Started
+
+    def lbfgs(fun, x, args, **kwargs):
+        k, mcols, hcols = args[3], args[0].shape[1], args[1].shape[1]
+        if not k:
+            return minimize(fun, x, args=args, **kwargs)
+        seen.append((x[: mcols * k].reshape(mcols, k), x[mcols * k:].reshape(-1, hcols)[:k]))
+        raise _Started
+
+    with mock.patch.object(solver, "_gram_fit", gram), \
+            mock.patch.object(solver, "minimize", lbfgs), pytest.raises(_Started):
+        _fit_arrays(P, F, n, 1e-3 * lambda_max(P, F), kappa, Loss(), None, opts, R)
+    (U, V), = seen
+    return U, V
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    design=st.sampled_from(["cold", "widened", "ridge", "aux"]),
+    kappa=st.sampled_from([0.0, 0.5]),
+    scale=st.sampled_from([1e-3, 1.0, 1e4]),
+)
+def test_random_block_forecast_has_the_norm_of_F(seed, design, kappa, scale):
+    # the random block U_r V_r of every start, cold or widening a warm start,
+    # is scaled so its forecast P U_r V_r has ||F||_F at any scale of the
+    # data: on both engines (kappa = 0 Gram, kappa > 0 L-BFGS), beside a ridge
+    # block R, and with aux columns stacked into P
+    rng = np.random.default_rng(seed)
+    data = rand_instance(rng, N=int(rng.integers(8, 30)), M=int(rng.integers(2, 5)),
+                         H=int(rng.integers(2, 4)), scale=scale)
+    aux = rng.normal(size=(data.N, 2))
+    P = np.hstack([data.P, aux]) if design == "aux" else data.P
+    R = aux if design == "ridge" else np.zeros((data.N, 0))
+    mcols, hcols = P.shape[1], data.F.shape[1]
+    k = int(rng.integers(2, min(mcols, hcols) + 1))
+    k0 = int(rng.integers(1, k)) if design == "widened" else 0
+    U0, V0 = rng.normal(size=(mcols, k0)), rng.normal(size=(k0, hcols))
+    opts = FitOptions(k=k, seed=seed, init=(U0, V0))
+    U, V = engine_start(P, data.F, data.n, R, kappa, opts)
+    Us, Vs = solver._start(P, data.F, opts)
+    assert np.array_equal(U, Us) and np.array_equal(V, Vs)
+    assert np.array_equal(U[:, :k0], U0) and np.array_equal(V[:k0], V0)
+    block = np.linalg.norm(P @ U[:, k0:] @ V[k0:])
+    assert abs(block - np.linalg.norm(data.F)) <= 1e-12 * np.linalg.norm(data.F)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_zero_target_keeps_the_raw_draws_and_the_zero_start(rng, kappa):
+    # F = 0 gives the start no scale (s = 1: the draws of default_rng(seed)
+    # as they come), and its fit is still the certified zero start
+    data = rand_instance(rng, N=20)
+    zero = WindowedDataset(P=data.P, F=np.zeros_like(data.F), n=data.n, M=data.M, H=data.H)
+    opts = FitOptions(k=3, seed=2)
+    U, V = solver._start(zero.P, zero.F, opts)
+    draws = np.random.default_rng(2)
+    assert np.array_equal(U, draws.normal(size=U.shape))
+    assert np.array_equal(V, draws.normal(size=V.shape))
+    model, report = fit_factored(zero, 0.1, kappa, opts=opts)
+    assert model.rank == 0 and report.sweeps == 0 and report.converged
+
+
+def test_consistency_fit_starts_at_the_data_scale():
+    # kappa = 1 on the seed-0 paper series: kappa * inconsistency is summed
+    # over the windows, so a start whose forecast lies orders of magnitude
+    # above F costs L-BFGS hundreds of iterations spent only shrinking the
+    # factors (762 in all from entries at std(F)/sqrt(k))
+    data = paper_instance(0)
+    _, report = fit_auto_rank(data, 0.1 * lambda_max(data.P, data.F), kappa=1.0)
+    assert report.iterations <= 600
+
+
 def test_raw_factors_balance_at_convergence(rng, monkeypatch):
     # at a stationary point the two factor norms agree and match the
     # nuclear norm of the product (variational characterization).  The raw
@@ -1091,6 +1175,58 @@ def test_l1_and_unpenalized_fits_are_not_converged():
     assert report.optimality_residuals is None and report.converged is False
     _, report = fit_factored(data, 0.0, opts=FitOptions(k=4))
     assert report.optimality_residuals is not None and report.converged is False
+
+
+def test_unpenalized_fit_ends_on_the_stall_before_the_cap():
+    # at lam = 0 the factored objective has no isolated minimizer (U A and
+    # A^-1 V give the same theta), and from a start far above F's scale
+    # L-BFGS drifts along that family at its 1000-iteration cap (6 sweeps,
+    # 6000 iterations, objective 27.935224068552646 from entries at
+    # std(F)/sqrt(k)); the stall must end the fit early, no higher
+    _, report = fit_factored(l1_instance(0), 0.0, opts=FitOptions(k=3))
+    assert report.sweeps <= 3
+    assert report.final_objective <= 27.935224068552646
+
+
+def test_svd_falls_back_to_gesvd_where_gesdd_fails(rng, monkeypatch):
+    # LAPACK's gesdd can fail to converge on a finite matrix; the SVD that
+    # reduce_rank and svt_reference_solve's prox share retries with gesvd
+    real, failed = np.linalg.svd, []
+
+    def fails_once(*args, **kwargs):
+        if not failed:
+            failed.append(1)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    A = rng.normal(size=(9, 6))
+    U, s, Vt = solver._svd(A)
+    assert failed
+    assert np.linalg.norm((U * s) @ Vt - A) <= 1e-12 * np.linalg.norm(A)
+    assert np.allclose(U.T @ U, np.eye(6), rtol=0, atol=1e-12)
+    assert np.allclose(Vt @ Vt.T, np.eye(6), rtol=0, atol=1e-12)
+
+    failed.clear()
+    Uf, Vf = A[:, :4], rng.normal(size=(4, 5))
+    Ur, Vr, (Ut, sig, Vth) = reduce_rank(Uf, Vf)
+    assert failed
+    assert np.linalg.norm(Ur @ Vr - Uf @ Vf) <= 1e-12 * np.linalg.norm(Uf @ Vf)
+    assert np.allclose(Ut.T @ Ut, np.eye(sig.size), rtol=0, atol=1e-12)
+    assert np.allclose(Vth.T @ Vth, np.eye(sig.size), rtol=0, atol=1e-12)
+
+    data = rand_instance(rng, N=20)
+    lam = 0.3 * lambda_max(data.P, data.F)
+    failed.append(1)
+    want = main_objective(svt_reference_solve(data, lam), data, lam)
+    failed.clear()
+    got = main_objective(svt_reference_solve(data, lam), data, lam)
+    assert failed and abs(got - want) <= 1e-10 * abs(want)
+
+    # a non-finite matrix keeps gesdd's error
+    failed.clear()
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._svd(np.full((3, 3), np.nan))
 
 
 @pytest.mark.parametrize("lam,kappa", [
